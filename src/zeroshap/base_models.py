@@ -1,9 +1,10 @@
 """Base predictors used to label synthetic tasks and to serve as evaluation targets.
 
-The MLP classifier is expressed on the autodiff kernel; the random forest is
-a from-scratch CART ensemble with Gini splitting and per-split feature
-subsampling. Both predict class-1 probabilities; attribution ground truth is
-computed on the probability output.
+The MLP classifier is fitted with a hand-written numpy forward/backward pass
+and the autodiff kernel's Adam step; the random forest is a from-scratch CART
+ensemble with Gini splitting and per-split feature subsampling. Both predict
+class-1 probabilities; attribution ground truth is computed on the probability
+output.
 """
 
 from __future__ import annotations
@@ -94,21 +95,25 @@ def _init_mlp(n_features: int, hidden_sizes: tuple[int, ...], rng) -> tuple[list
     return weights, biases
 
 
-def _bce_loss(params: dict[str, ad.Tensor], X: np.ndarray, y: np.ndarray, n_layers: int) -> ad.Tensor:
-    h = ad.Tensor(X)
-    for i in range(n_layers - 1):
-        h = ad.relu(ad.add(ad.matmul(h, params[f"w{i}"]), params[f"b{i}"]))
-    logits = ad.add(ad.matmul(h, params[f"w{n_layers - 1}"]), params[f"b{n_layers - 1}"])
-    p_raw = ad.sigmoid(logits)
-    p = ad.clamp_min(p_raw, 1e-12)
-    q = ad.clamp_min(ad.add(ad.multiply(p_raw, -1.0), 1.0), 1e-12)
-    yy = y.reshape(-1, 1)
-    term = ad.add(ad.multiply(ad.log(p), yy), ad.multiply(ad.log(q), 1.0 - yy))
-    return ad.multiply(ad.reduce_mean(term), -1.0)
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive C-ordered views into one flat buffer, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> MlpModel:
-    """Full-batch Adam with lr decay lr0 / sqrt(t + 1) on binary cross-entropy."""
+    """Full-batch Adam with lr decay lr0 / sqrt(t + 1) on binary cross-entropy.
+
+    Forward and backward passes are plain numpy. They replay, op for op, the
+    autodiff graph of ``-mean(y log p + (1 - y) log q)`` with the tanh-form
+    sigmoid and ``p``, ``q = 1 - p`` clamped to at least 1e-12, so the fit is
+    bit-identical to one driven through ``autodiff`` (``tests/oracles.py``).
+    Raises RuntimeError if the loss turns non-finite.
+    """
     cfg = cfg or MlpConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -127,29 +132,56 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
         X_train, y_train = X[idx], y[idx]
     else:
         X_train, y_train = X, y
+    # C order fixes the BLAS path of X.T @ g, and with it the rounding
+    X_train = np.ascontiguousarray(X_train)
 
     weights, biases = _init_mlp(X.shape[1], cfg.hidden_sizes, rng)
     n_layers = len(weights)
-    params = {f"w{i}": ad.Tensor(w, requires_grad=True) for i, w in enumerate(weights)}
-    params.update({f"b{i}": ad.Tensor(b, requires_grad=True) for i, b in enumerate(biases)})
+    shapes = [w.shape for w in weights] + [b.shape for b in biases]
+    # one flat parameter buffer and one flat gradient buffer, so Adam is a
+    # single elementwise update per epoch
+    theta = np.concatenate([a.ravel() for a in weights + biases])
+    grad = np.empty_like(theta)
+    params_views, grad_views = _views(theta, shapes), _views(grad, shapes)
+    Ws, bs = params_views[:n_layers], params_views[n_layers:]
+    gWs, gbs = grad_views[:n_layers], grad_views[n_layers:]
+    params = {"theta": ad.Tensor(theta, requires_grad=True)}
+    grads = {"theta": grad}
+
+    yy = y_train.reshape(-1, 1)
+    not_yy = 1.0 - yy
+    g_term = -1.0 / X_train.shape[0]  # d loss / d term for loss = -mean(term)
+    g_log_p, g_log_q = g_term * yy, g_term * not_yy
     state = ad.AdamState()
     losses = np.empty(cfg.epochs)
     for t in range(cfg.epochs):
-        loss = _bce_loss(params, X_train, y_train, n_layers)
-        value = loss.item()
+        hs, pre = [X_train], []
+        for W, b in zip(Ws[:-1], bs[:-1]):
+            pre.append(hs[-1] @ W + b)
+            hs.append(np.maximum(pre[-1], 0.0))
+        s = np.tanh((hs[-1] @ Ws[-1] + bs[-1]) * 0.5)
+        p_raw = (s + 1.0) * 0.5
+        p_shift = p_raw + -1e-12
+        q_shift = (p_raw * -1.0 + 1.0) + -1e-12
+        p = np.maximum(p_shift, 0.0) + 1e-12
+        q = np.maximum(q_shift, 0.0) + 1e-12
+        value = ((np.log(p) * yy + np.log(q) * not_yy).mean() * -1.0).item()
         if not np.isfinite(value):
             last_good = t - 1
             raise RuntimeError(f"training diverged at epoch {t} (last good epoch {last_good})")
         losses[t] = value
-        loss.backward()
-        grads = {name: p.grad for name, p in params.items()}
+
+        # backward, in the graph's order of rounding: log, clamp masks, the sum
+        # of the p and q paths, sigmoid, then each affine layer
+        g_p_raw = (g_log_p / p) * (p_shift > 0.0) + ((g_log_q / q) * (q_shift > 0.0)) * -1.0
+        g = ((g_p_raw * 0.5) * (1.0 - s * s)) * 0.5
+        for i in range(n_layers - 1, -1, -1):
+            gbs[i][...] = g.sum(axis=0)
+            gWs[i][...] = hs[i].T @ g
+            if i:
+                g = (g @ Ws[i].T) * (pre[i - 1] > 0.0)
         ad.adam_step(params, grads, state, lr=cfg.lr0 / math.sqrt(t + 1))
-    return MlpModel(
-        weights=[params[f"w{i}"].data for i in range(n_layers)],
-        biases=[params[f"b{i}"].data for i in range(n_layers)],
-        config=cfg,
-        train_losses=losses,
-    )
+    return MlpModel(weights=Ws, biases=bs, config=cfg, train_losses=losses)
 
 
 def predict(model, X: np.ndarray) -> np.ndarray:

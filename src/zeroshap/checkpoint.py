@@ -9,6 +9,7 @@ table with name/shape/dtype. Float arrays are ``<f8``, integer arrays ``<i8``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -68,7 +69,12 @@ def load_checkpoint(path, expected_kind: str | None = None):
     body_start = len(MAGIC) + 8
     if len(raw) < body_start + header_len:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(raw[body_start : body_start + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[body_start : body_start + header_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: header does not parse ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -76,16 +82,25 @@ def load_checkpoint(path, expected_kind: str | None = None):
         )
     if expected_kind is not None and header.get("kind") != expected_kind:
         raise CheckpointError(f"{path}: expected kind {expected_kind!r}, found {header.get('kind')!r}")
+    try:
+        table, config, metadata = header["arrays"], header["config"], header["metadata"]
+        table = [(entry["name"], entry["dtype"], entry["shape"]) for entry in table]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
     arrays: dict[str, np.ndarray] = {}
     offset = body_start + header_len
-    for entry in header["arrays"]:
-        dtype = _DTYPES[entry["dtype"]]
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
+    for name, tag, shape in table:
+        if tag not in _DTYPES:
+            raise CheckpointError(f"{path}: unknown dtype {tag!r} for array {name!r}")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(f"{path}: bad shape {shape!r} for array {name!r}")
+        dtype, shape = _DTYPES[tag], tuple(shape)
+        count = math.prod(shape)
+        nbytes = dtype.itemsize * count
         if len(raw) < offset + nbytes:
-            raise CheckpointError(f"{path}: truncated array data for {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape)), offset=offset).reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated array data for {name!r}")
+        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
-    return arrays, header["config"], header["metadata"]
+    return arrays, config, metadata

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import base_models as bm
+from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig
 from .dag_recovery import dag_recovery
 from .explainer import explain_zero_shot, load_weights, save_weights, train
@@ -33,16 +34,34 @@ STAGE_BENCH = 2
 STAGE_DAG = 3
 
 
+class InputError(ValueError):
+    """A malformed input file: reported as ``error: ...`` with exit status 2."""
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
+    """Header and a finite (rows, len(header)) matrix; raises InputError otherwise."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(tok) for tok in row] for row in reader if row]
-    return header, np.asarray(rows, dtype=np.float64)
+        header = next(reader, [])
+        try:
+            rows = [[float(tok) for tok in row] for row in reader if row]
+        except ValueError as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise InputError(f"{path}: no data rows below the header")
+    if any(len(row) != len(header) for row in rows):
+        raise InputError(f"{path}: every row must have {len(header)} cells, as the header does")
+    data = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise InputError(f"{path}: non-finite value {data[row, col]} in column {header[col]!r}, "
+                         f"data row {row + 1}")
+    return header, data
 
 
 def write_csv_matrix(path, header: list[str], matrix: np.ndarray) -> None:
@@ -141,6 +160,10 @@ def cmd_explain(args) -> int:
         return 2
     pred_idx = header.index(pred_col)
     feature_idx = [i for i in range(len(header)) if i != pred_idx]
+    if not 1 <= len(feature_idx) <= weights.config.max_features:
+        print(f"error: {len(feature_idx)} feature columns; the checkpoint explains 1 to "
+              f"{weights.config.max_features}", file=sys.stderr)
+        return 2
     X = data[:, feature_idx]
     y_hat = data[:, pred_idx]
     raw = _chunked_zero_shot(weights, X, y_hat)
@@ -484,6 +507,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (InputError, CheckpointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

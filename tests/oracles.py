@@ -2,7 +2,8 @@
 
 These deliberately avoid the library implementations: Shapley values are
 evaluated straight from the weighted-marginal-contribution definition with
-no coalition caching or reuse.
+no coalition caching or reuse, and the reference MLP fit takes its gradients
+from the autodiff graph instead of the hand-written backward pass.
 """
 
 import math
@@ -37,3 +38,54 @@ def brute_force_shapley(predict_fn, x, background):
 
 def brute_force_base_value(predict_fn, background):
     return float(np.mean(predict_fn(np.asarray(background, dtype=np.float64))))
+
+
+def autodiff_train_mlp(X, y, cfg):
+    """Reference MLP fit: the BCE loss built as an autodiff graph each epoch.
+
+    The same data subset, initialisation and Adam schedule as
+    ``base_models.train_mlp``; only the gradient path differs.
+    """
+    from zeroshap import autodiff as ad
+    from zeroshap import base_models as bm
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.train_fraction < 1.0:
+        keep = max(16, int(round(cfg.train_fraction * X.shape[0])))
+        idx = rng.permutation(X.shape[0])[:keep]
+        if len(np.unique(y[idx])) < 2:
+            idx = np.concatenate([idx, [int(np.argmax(y != y[idx[0]]))]])
+        X, y = X[idx], y[idx]
+    weights, biases = bm._init_mlp(X.shape[1], cfg.hidden_sizes, rng)
+    n_layers = len(weights)
+    params = {f"w{i}": ad.Tensor(w, requires_grad=True) for i, w in enumerate(weights)}
+    params.update({f"b{i}": ad.Tensor(b, requires_grad=True) for i, b in enumerate(biases)})
+    yy = y.reshape(-1, 1)
+
+    def bce_loss():
+        h = ad.Tensor(X)
+        for i in range(n_layers - 1):
+            h = ad.relu(ad.add(ad.matmul(h, params[f"w{i}"]), params[f"b{i}"]))
+        logits = ad.add(ad.matmul(h, params[f"w{n_layers - 1}"]), params[f"b{n_layers - 1}"])
+        p_raw = ad.sigmoid(logits)
+        p = ad.clamp_min(p_raw, 1e-12)
+        q = ad.clamp_min(ad.add(ad.multiply(p_raw, -1.0), 1.0), 1e-12)
+        term = ad.add(ad.multiply(ad.log(p), yy), ad.multiply(ad.log(q), 1.0 - yy))
+        return ad.multiply(ad.reduce_mean(term), -1.0)
+
+    state = ad.AdamState()
+    losses = np.empty(cfg.epochs)
+    for t in range(cfg.epochs):
+        loss = bce_loss()
+        losses[t] = loss.item()
+        loss.backward()
+        grads = {name: p.grad for name, p in params.items()}
+        ad.adam_step(params, grads, state, lr=cfg.lr0 / math.sqrt(t + 1))
+    return bm.MlpModel(
+        weights=[params[f"w{i}"].data for i in range(n_layers)],
+        biases=[params[f"b{i}"].data for i in range(n_layers)],
+        config=cfg,
+        train_losses=losses,
+    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import autodiff_train_mlp
 from zeroshap import base_models as bm
 
 
@@ -56,6 +57,40 @@ def test_mlp_loss_nonincreasing_over_windows(separable_model):
     _, _, model = separable_model
     window_means = model.train_losses.reshape(-1, 100).mean(axis=1)
     assert (np.diff(window_means) <= 1e-9).all()
+
+
+def _noisy(n, m, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(float)
+    return X, y
+
+
+@pytest.mark.parametrize("n, m, fortran, cfg", [
+    # default config; a Fortran-ordered X must not change the BLAS path
+    (128, 5, True, bm.MlpConfig()),
+    (96, 3, False, bm.MlpConfig(epochs=300, train_fraction=0.5, seed=2)),
+    (120, 2, False, bm.MlpConfig(hidden_sizes=(12, 12), epochs=300, lr0=1e-3, seed=4)),
+    # saturates p within a few epochs, so both 1e-12 clamps take effect
+    (64, 3, False, bm.MlpConfig(epochs=100, lr0=1.0, seed=1)),
+], ids=["default-fortran", "train-fraction", "two-hidden-layers", "clamped"])
+def test_mlp_fit_bit_identical_to_autodiff_graph(n, m, fortran, cfg):
+    X, y = _noisy(n, m, seed=n + m)
+    if fortran:
+        X = np.asfortranarray(X)
+    model = bm.train_mlp(X, y, cfg)
+    reference = autodiff_train_mlp(X, y, cfg)
+    assert len(model.weights) == len(reference.weights)
+    for got, want in zip(model.weights + model.biases, reference.weights + reference.biases):
+        assert np.array_equal(got, want)
+    assert np.array_equal(model.train_losses, reference.train_losses)
+
+
+def test_mlp_nan_input_diverges_at_epoch_zero():
+    X, y = _noisy(32, 2, 6)
+    X[3, 1] = np.nan
+    with pytest.raises(RuntimeError, match=r"training diverged at epoch 0 "):
+        bm.train_mlp(X, y, bm.MlpConfig(epochs=10))
 
 
 def test_mlp_rejects_constant_labels():

@@ -245,3 +245,38 @@ def test_explain_chunks_large_inputs(workspace, tmp_path):
     assert data.shape == (150, 4)
     _, raw = cli.read_csv_matrix(csv_in)
     np.testing.assert_allclose(data[:, :3].sum(axis=1) + data[:, 3], raw[:, 3], atol=1e-9)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0,x1,prediction\n", "no data rows"),
+    ("x0,x1,prediction\n0.1,0.2,0.5\n0.3,abc,0.4\n", "line 3"),
+    ("x0,x1,prediction\n0.1,nan,0.5\n0.3,0.2,0.4\n", "non-finite value nan in column 'x1'"),
+    ("x0,x1,prediction\n0.1,0.2,0.5\n0.3,0.2,-inf\n", "non-finite value -inf in column 'prediction'"),
+    ("x0,x1,prediction\n0.1,0.2\n", "every row must have 3 cells"),
+    (",".join(f"x{j}" for j in range(9)) + ",prediction\n" + ",".join(["0.5"] * 10) + "\n",
+     "9 feature columns; the checkpoint explains 1 to 8"),
+], ids=["header-only", "non-numeric", "nan", "inf", "ragged", "too-many-features"])
+def test_explain_bad_input_fails_cleanly(workspace, tmp_path, capsys, text, message):
+    _, config = workspace
+    csv_in = tmp_path / "bad.csv"
+    csv_in.write_text(text)
+    csv_out = tmp_path / "attr.csv"
+    code = cli.main(["explain", "--config", str(config), "--input", str(csv_in),
+                     "--output", str(csv_out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not csv_out.exists()
+
+
+def test_explain_corrupt_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
+    root, config = workspace
+    ckpt = tmp_path / "corrupt.ckpt"
+    ckpt.write_bytes((root / "out" / "explainer.ckpt").read_bytes()[:100])
+    csv_in = tmp_path / "query.csv"
+    _write_query_csv(csv_in)
+    code = cli.main(["explain", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--input", str(csv_in), "--output", str(tmp_path / "attr.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
