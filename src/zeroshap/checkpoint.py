@@ -30,7 +30,7 @@ def save_checkpoint(path, kind: str, arrays: dict[str, np.ndarray],
     entries = []
     blobs = []
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name])  # tobytes() below writes C order
         if arr.dtype.kind == "f":
             arr = arr.astype("<f8", copy=False)
             dtype = "<f8"

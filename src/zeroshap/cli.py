@@ -131,21 +131,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _chunked_zero_shot(weights, X, y_hat):
-    """Explain arbitrarily many rows against a fixed reference subset."""
-    limit = weights.config.max_context_rows
-    if X.shape[0] <= limit:
-        return explain_zero_shot(weights, X, y_hat)
-    n_ref = limit // 2
-    X_ref, y_ref = X[:n_ref], y_hat[:n_ref]
-    chunk = limit - n_ref
-    parts = []
-    for start in range(0, X.shape[0], chunk):
-        parts.append(explain_zero_shot(weights, X[start : start + chunk],
-                                       y_hat[start : start + chunk], X_ref, y_ref))
-    return np.vstack(parts)
-
-
 def cmd_explain(args) -> int:
     cfg = _load_run_config(args)
     checkpoint = Path(args.checkpoint or cfg.output_dir / "explainer.ckpt")
@@ -166,7 +151,7 @@ def cmd_explain(args) -> int:
         return 2
     X = data[:, feature_idx]
     y_hat = data[:, pred_idx]
-    raw = _chunked_zero_shot(weights, X, y_hat)
+    raw = explain_zero_shot(weights, X, y_hat)
     phi = full_pipeline(raw, y_hat)
     base_value = float(np.mean(y_hat))
     out = np.column_stack([phi, np.full(X.shape[0], base_value)])
@@ -203,14 +188,14 @@ def cmd_shap(args) -> int:
     return 0
 
 
-def _eval_base_model(kind: str, task, cfg: RunConfig, seed: int):
+def _eval_base_model(kind: str, X, y, cfg: RunConfig, seed: int):
     if kind == "mlp":
         mlp_cfg = bm.MlpConfig(hidden_sizes=(12, 12), epochs=cfg.get_int("benchmark.eval_epochs"),
                                lr0=1e-3, seed=seed)
-        model = bm.train_mlp(task.X, task.y, mlp_cfg)
+        model = bm.train_mlp(X, y, mlp_cfg)
         return lambda rows: model.predict(rows)
     if kind == "forest":
-        model = bm.train_forest(task.X, task.y, bm.ForestConfig(seed=seed))
+        model = bm.train_forest(X, y, bm.ForestConfig(seed=seed))
         return lambda rows: model.predict_proba(rows)
     raise ConfigError(f"unknown base kind {kind!r}")
 
@@ -243,7 +228,7 @@ def cmd_benchmark(args) -> int:
             task = sample_task(task_seed, gen_cfg)
             scaler = bm.fit_scaler(task.X)
             X = bm.transform(scaler, task.X)
-            predict_fn = _eval_base_model(base_kind, _Scaled(task, X), cfg, seed=int(rng.integers(0, 2**31)))
+            predict_fn = _eval_base_model(base_kind, X, task.y, cfg, seed=int(rng.integers(0, 2**31)))
             background = subsample_background(X, rng, cfg.get_int("shap.background_size"))
             reference = hybrid_shapley(predict_fn, X, ShapConfig(
                 exact_max_features=cfg.get_int("shap.exact_max_features"),
@@ -262,7 +247,7 @@ def cmd_benchmark(args) -> int:
                 p_scores, j_scores = [], []
                 for task, X, y_hat, reference in tasks:
                     if method == "zero_shot":
-                        raw = _chunked_zero_shot(weights, X, y_hat)
+                        raw = explain_zero_shot(weights, X, y_hat)
                         phi = full_pipeline(raw, y_hat)
                         truth = reference.phi
                     else:
@@ -284,7 +269,7 @@ def cmd_benchmark(args) -> int:
         # wall-clock comparison: the zero-shot pass never queries the model
         task, X, y_hat, _ = tasks[0]
         contributions = X.size
-        zs_time = measure_runtime(lambda: _chunked_zero_shot(weights, X, y_hat),
+        zs_time = measure_runtime(lambda: explain_zero_shot(weights, X, y_hat),
                                   repetitions=3, contributions=contributions)
         shap_cfg = ShapConfig(
             exact_max_features=cfg.get_int("shap.exact_max_features"),
@@ -292,7 +277,7 @@ def cmd_benchmark(args) -> int:
             background=subsample_background(X, np.random.default_rng(0), 32),
             seed=0,
         )
-        fn = _eval_base_model(base_kind, _Scaled(task, X), cfg, seed=0)
+        fn = _eval_base_model(base_kind, X, task.y, cfg, seed=0)
         shap_time = measure_runtime(lambda: hybrid_shapley(fn, X, shap_cfg),
                                     repetitions=3, contributions=contributions)
         runtime_rows.append(["zero_shot", base_kind, zs_time])
@@ -324,14 +309,6 @@ def cmd_benchmark(args) -> int:
     write_json(out_dir / "benchmark_report.json", {"reports": reports})
     print(f"benchmark tables written to {out_dir}")
     return 0
-
-
-class _Scaled:
-    """Task view with standardized features (for base-model training)."""
-
-    def __init__(self, task, X):
-        self.X = X
-        self.y = task.y
 
 
 def cmd_dag_recover(args) -> int:

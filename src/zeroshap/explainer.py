@@ -240,10 +240,22 @@ def explain_zero_shot(weights: ExplainerWeights, X: np.ndarray, y_hat: np.ndarra
                       X_ref: np.ndarray | None = None, y_ref: np.ndarray | None = None) -> np.ndarray:
     """Raw attribution matrix in standardized units: one forward pass per feature.
 
-    Downstream consumers are expected to run the axiom-based corrections
-    before reporting; no rescaling happens here.
+    A table longer than ``max_context_rows`` with no explicit reference set
+    is explained in chunks against a fixed reference set: its first
+    ``max_context_rows // 2`` rows. Downstream consumers are expected to run
+    the axiom-based corrections before reporting; no rescaling happens here.
     """
     X = np.asarray(X, dtype=np.float64)
+    limit = weights.config.max_context_rows
+    if X_ref is None and X.shape[0] > limit:
+        y_hat = np.asarray(y_hat, dtype=np.float64).ravel()
+        n_ref = limit // 2
+        chunk = limit - n_ref
+        return np.vstack([
+            explain_zero_shot(weights, X[start : start + chunk], y_hat[start : start + chunk],
+                              X[:n_ref], y_hat[:n_ref])
+            for start in range(0, X.shape[0], chunk)
+        ])
     centers = weights.config.bucket_centers()
     out = np.empty_like(X)
     for j in range(X.shape[1]):

@@ -25,6 +25,8 @@ from .scm import ScmTask, TaskGenConfig, TaskRejected, sample_task
 from .shapley import ShapConfig, hybrid_shapley, subsample_background
 
 POOL_FORMAT_VERSION = 1
+# draws between two listings of the pool directory by a sampler
+REFRESH_EVERY = 16
 
 
 @dataclass
@@ -194,49 +196,45 @@ def pool_task_ids(pool_dir) -> list[str]:
 
 
 def pool_sample(pool_dir, rng: np.random.Generator, timeout: float = 10.0) -> TrainingTriplet:
-    """Uniform draw with replacement over committed entries.
+    """One uniform draw over committed entries; see ``make_pool_sampler``."""
+    return make_pool_sampler(pool_dir, rng, timeout)()
 
-    Blocks up to ``timeout`` seconds while the pool is empty; corrupted
-    entries are skipped with a warning.
+
+def make_pool_sampler(pool_dir, rng: np.random.Generator, timeout: float = 10.0):
+    """Sampler closure: uniform draws with replacement over committed entries.
+
+    The directory is re-listed every ``REFRESH_EVERY`` draws, so entries that
+    writers commit meanwhile join the draws. A draw blocks up to ``timeout``
+    seconds while the pool is empty. Corrupted entries are skipped with a
+    warning and left out of later draws.
     """
-    deadline = time.monotonic() + timeout
+    ids: list[str] = []
     excluded: set[str] = set()
-    while True:
-        ids = [t for t in pool_task_ids(pool_dir) if t not in excluded]
-        if not ids:
-            if excluded:
-                raise IOError(f"all {len(excluded)} pool entries are unreadable")
-            if time.monotonic() >= deadline:
-                raise TimeoutError(f"pool {pool_dir} stayed empty for {timeout:.1f}s")
-            time.sleep(0.05)
-            continue
-        task_id = ids[int(rng.integers(0, len(ids)))]
-        try:
-            return pool_read(pool_dir, task_id)
-        except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-            warnings.warn(f"skipping corrupted pool entry {task_id}: {exc}")
-            excluded.add(task_id)
-
-
-def make_pool_sampler(pool_dir, rng: np.random.Generator, refresh_every: int = 16):
-    """Sampler closure for training loops; re-lists the directory periodically."""
-    state = {"ids": None, "draws": 0}
+    draws = 0
 
     def sampler() -> TrainingTriplet:
-        if state["ids"] is None or state["draws"] % refresh_every == 0:
-            ids = pool_task_ids(pool_dir)
-            if ids:
-                state["ids"] = ids
-        state["draws"] += 1
-        if not state["ids"]:
-            return pool_sample(pool_dir, rng)
+        nonlocal ids, draws
+        deadline = time.monotonic() + timeout
+        relist = draws % REFRESH_EVERY == 0 or not ids
+        draws += 1
         while True:
-            task_id = state["ids"][int(rng.integers(0, len(state["ids"])))]
+            if relist:
+                ids = [t for t in pool_task_ids(pool_dir) if t not in excluded]
+            if not ids:
+                if excluded:
+                    raise IOError(f"all {len(excluded)} pool entries are unreadable")
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(f"pool {pool_dir} stayed empty for {timeout:.1f}s")
+                time.sleep(0.05)
+                relist = True
+                continue
+            task_id = ids[int(rng.integers(0, len(ids)))]
             try:
                 return pool_read(pool_dir, task_id)
             except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
                 warnings.warn(f"skipping corrupted pool entry {task_id}: {exc}")
-                state["ids"] = [t for t in state["ids"] if t != task_id]
+                excluded.add(task_id)
+                ids = [t for t in ids if t != task_id]
 
     return sampler
 

@@ -36,6 +36,22 @@ def brute_force_shapley(predict_fn, x, background):
     return phi
 
 
+def loop_permutation_shapley(predict_fn, x, background, n_perms, rng):
+    """Permutation estimate walked one order at a time, one coalition per predict call."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    background = np.asarray(background, dtype=np.float64)
+    phi = np.zeros(x.size)
+    for _ in range(n_perms):
+        rows = background.copy()
+        prev = float(np.mean(predict_fn(rows)))
+        for j in rng.permutation(x.size):
+            rows[:, j] = x[j]
+            cur = float(np.mean(predict_fn(rows)))
+            phi[j] += cur - prev
+            prev = cur
+    return phi / n_perms
+
+
 def brute_force_base_value(predict_fn, background):
     return float(np.mean(predict_fn(np.asarray(background, dtype=np.float64))))
 

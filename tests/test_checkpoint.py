@@ -46,3 +46,13 @@ def test_corrupt_header_raises_checkpoint_error(tmp_path, corrupt, message):
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
 
+
+
+def test_scalar_and_transposed_arrays_round_trip(tmp_path):
+    path = tmp_path / "arrays.ckpt"
+    matrix = np.arange(6.0).reshape(2, 3)
+    save_checkpoint(path, "test", {"s": np.array(2.5), "k": np.array(3), "t": matrix.T})
+    arrays, _, _ = load_checkpoint(path, expected_kind="test")
+    assert arrays["s"].shape == () and arrays["s"] == 2.5
+    assert arrays["k"].shape == () and arrays["k"].dtype == np.dtype("<i8") and arrays["k"] == 3
+    assert np.array_equal(arrays["t"], matrix.T)

@@ -232,6 +232,15 @@ def test_explain_zero_shot_contract():
     np.testing.assert_array_equal(out, ex.explain_zero_shot(w, X, y))
 
 
+def test_explain_zero_shot_chunks_long_tables():
+    # 70 rows exceed MICRO's 64-row context: chunks of 32 against the first 32 rows
+    w = small_weights(random_head=True, seed=12)
+    X, y = toy_task(14, n=70, m=3)
+    chunks = [ex.explain_zero_shot(w, X[s : s + 32], y[s : s + 32], X[:32], y[:32])
+              for s in (0, 32, 64)]
+    np.testing.assert_array_equal(ex.explain_zero_shot(w, X, y), np.vstack(chunks))
+
+
 def test_weights_roundtrip(tmp_path):
     w = small_weights(random_head=True, seed=13)
     w.metadata = {"steps": 60, "final_loss": 1.25}

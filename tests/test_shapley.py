@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mlp
-from oracles import brute_force_shapley
+from oracles import brute_force_shapley, loop_permutation_shapley
 from zeroshap import shapley as sh
 
 
@@ -85,6 +85,66 @@ def test_exact_matches_brute_force_bitwise_mlp():
         assert np.array_equal(engine, oracle)
 
 
+def _counting(predict):
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape[0])
+        return predict(X)
+
+    return counted, calls
+
+
+def test_coalitions_of_one_instance_share_one_predict_call():
+    model = random_mlp(3, 31)
+    rng = np.random.default_rng(32)
+    bg = rng.normal(size=(16, 3))
+    x = rng.normal(size=3)
+    predict, calls = _counting(model.predict)
+    sh.exact_shapley(predict, x, bg)
+    assert calls == [8 * 16]
+    calls.clear()
+    sh.permutation_shapley(predict, x, bg, 20, np.random.default_rng(0))
+    assert len(calls) == 1
+
+
+def test_exact_near_brute_force_when_background_rows_not_multiple_of_4():
+    # a BLAS tail kernel handles the last rows mod 4 of a product, so a row's
+    # last bits may depend on its place in the batched call
+    model = random_mlp(4, 33)
+    rng = np.random.default_rng(34)
+    bg = rng.normal(size=(33, 4))
+    x = rng.normal(size=4)
+    engine = sh.exact_shapley(model.predict, x, bg)
+    oracle = brute_force_shapley(model.predict, x, bg)
+    assert np.max(np.abs(engine - oracle)) <= 4 * 2**4 * np.finfo(np.float64).eps
+
+
+def test_exact_slices_large_coalition_batches_bitwise():
+    m = 5
+    model = random_mlp(m, 35)
+    rng = np.random.default_rng(36)
+    bg = rng.normal(size=(64, m))
+    x = rng.normal(size=m)
+    assert 2**m * bg.shape[0] > sh.ROWS_PER_CALL
+    predict, calls = _counting(model.predict)
+    engine = sh.exact_shapley(predict, x, bg)
+    assert calls == [sh.ROWS_PER_CALL] * (2**m * bg.shape[0] // sh.ROWS_PER_CALL)
+    assert np.array_equal(engine, brute_force_shapley(model.predict, x, bg))
+
+
+def test_permutation_matches_loop_reference_bitwise():
+    for seed in range(3):
+        m = 2 + seed
+        model = random_mlp(m, 37 + seed)
+        rng = np.random.default_rng(40 + seed)
+        bg = rng.normal(size=(16, m))
+        x = rng.normal(size=m)
+        engine = sh.permutation_shapley(model.predict, x, bg, 30, np.random.default_rng(seed))
+        oracle = loop_permutation_shapley(model.predict, x, bg, 30, np.random.default_rng(seed))
+        assert np.array_equal(engine, oracle)
+
+
 def test_exact_feature_cap():
     with pytest.raises(ValueError, match="permutation"):
         sh.exact_shapley(lambda X: X.sum(axis=1), np.zeros(12), np.zeros((4, 12)), max_features=10)
@@ -130,6 +190,16 @@ def test_permutation_close_to_exact_m5():
     exact = sh.exact_shapley(model.predict, x, bg)
     perm = sh.permutation_shapley(model.predict, x, bg, 200, np.random.default_rng(7))
     assert np.max(np.abs(perm - exact)) < 0.02
+
+
+def test_permutation_linear_model_beyond_64_features():
+    # a linear model's marginal contribution of j is w_j (x_j - bg_j) in every order
+    rng = np.random.default_rng(45)
+    w = rng.normal(size=70)
+    bg = rng.normal(size=(8, 70))
+    x = rng.normal(size=70)
+    phi = sh.permutation_shapley(linear_predictor(w, 0.3), x, bg, 3, np.random.default_rng(0))
+    np.testing.assert_allclose(phi, w * (x - bg.mean(axis=0)), atol=1e-9)
 
 
 def test_permutation_is_efficient_per_instance():
@@ -206,17 +276,6 @@ def test_hybrid_exact_efficiency_residuals():
     result = sh.hybrid_shapley(model.predict, X, cfg)
     assert np.max(np.abs(result.residuals)) < 1e-9
     assert result.base_value == pytest.approx(np.mean(model.predict(X)), abs=1e-12)
-
-
-def test_hybrid_worker_count_invariance():
-    rng = np.random.default_rng(17)
-    model = random_mlp(11, 4)
-    X = rng.normal(size=(8, 11))
-    seq = sh.hybrid_shapley(model.predict, X, sh.ShapConfig(background=X, n_permutations=10, seed=5))
-    par = sh.hybrid_shapley(
-        model.predict, X, sh.ShapConfig(background=X, n_permutations=10, seed=5, workers=4)
-    )
-    np.testing.assert_array_equal(seq.phi, par.phi)
 
 
 def test_permutation_unbiased():
