@@ -4,17 +4,21 @@ Small closed primitive set (matmul, add, multiply, relu, tanh, softmax,
 layer norm, embedding lookup, reduce-mean, log) plus the structural ops
 (reshape, transpose) needed to express multi-head attention. Everything
 else is composed from these. Single-threaded per graph; graphs on
-distinct threads share no mutable state.
+distinct threads share no mutable state but the node-uid source, an
+``itertools.count`` whose ``next`` is atomic in CPython, so uids stay
+unique across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _DEBUG_CHECKS = False
+_UIDS = itertools.count(1)  # creation order, which is topological
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -32,8 +36,6 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_uid")
 
-    _counter = 0
-
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, _op: str = "leaf"):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
@@ -41,8 +43,7 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._op = _op
-        Tensor._counter += 1
-        self._uid = Tensor._counter
+        self._uid = next(_UIDS)
         if _DEBUG_CHECKS and not np.all(np.isfinite(self.data)):
             raise FloatingPointError(f"non-finite values produced by op '{_op}'")
 
@@ -106,9 +107,9 @@ def _ancestors(root: Tensor) -> list[Tensor]:
     stack = [root]
     while stack:
         node = stack.pop()
-        if node._uid in seen:
+        if id(node) in seen:
             continue
-        seen[node._uid] = node
+        seen[id(node)] = node
         stack.extend(node._parents)
     return list(seen.values())
 
@@ -318,12 +319,6 @@ def transpose(x, axes: tuple[int, ...]) -> Tensor:
 
 
 # ---- compositions (not primitives) ----
-
-
-def reduce_sum(x, axis: int | None = None) -> Tensor:
-    x = _as_tensor(x)
-    count = x.data.size if axis is None else x.shape[axis]
-    return multiply(reduce_mean(x, axis=axis), float(count))
 
 
 def sigmoid(x) -> Tensor:

@@ -170,6 +170,9 @@ def cmd_shap(args) -> int:
         X = data[:, feature_idx]
     else:
         X = data
+    if X.shape[1] != model.n_features:
+        raise InputError(f"{args.input}: {X.shape[1]} feature columns; the model {args.model} "
+                         f"takes {model.n_features}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(STAGE_BENCH, 0)))
     background = subsample_background(X, rng, cfg.get_int("shap.background_size"))
     result = hybrid_shapley(

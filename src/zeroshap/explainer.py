@@ -8,6 +8,10 @@ interact through bidirectional self-attention with no masking and no
 cross-row position encoding; attributions are read out per feature as the
 expectation of a softmax distribution over standardized-value buckets.
 Ground-truth attributions are never part of the input.
+
+Training runs on the autodiff graph. Serving builds no graph: ``forward``
+replays the graph's arithmetic in plain numpy over the weight arrays, op by
+op, so its output is bit-equal to the graph's.
 """
 
 from __future__ import annotations
@@ -166,8 +170,11 @@ def _ln_affine(x, gain, bias):
 
 
 def _forward_graph(params: dict[str, ad.Tensor], slots: np.ndarray, n_active_slots: int,
-                   config: ExplainerConfig, query_rows: np.ndarray | None = None) -> ad.Tensor:
-    """Bucket probabilities for each (query) row; pre-LN transformer encoder."""
+                   config: ExplainerConfig) -> ad.Tensor:
+    """Bucket probabilities for every row on the autodiff graph; pre-LN transformer encoder.
+
+    Training only; ``_forward_numpy`` is the inference pass.
+    """
     n = slots.shape[0]
     d = config.embed_dim
     H = config.n_heads
@@ -194,12 +201,67 @@ def _forward_graph(params: dict[str, ad.Tensor], slots: np.ndarray, n_active_slo
         x = ad.add(x, ad.add(ad.matmul(h, params[f"l{i}_ffn_w2"]), params[f"l{i}_ffn_b2"]))
 
     final = _ln_affine(x, params["final_ln_g"], params["final_ln_b"])
-    if query_rows is not None:
-        selector = np.zeros((len(query_rows), n))
-        selector[np.arange(len(query_rows)), query_rows] = 1.0
-        final = ad.matmul(ad.Tensor(selector), final)
     logits = ad.add(ad.matmul(final, params["head_w"]), params["head_b"])
     return ad.softmax(logits)
+
+
+def _ln_affine_numpy(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``_ln_affine`` in the op order of ``ad.layer_norm``, with its default eps."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    return centered * inv * gain + bias
+
+
+def _forward_numpy(params: dict[str, ad.Tensor], slots: np.ndarray, n_active_slots: int,
+                   config: ExplainerConfig, query_rows: np.ndarray | None = None) -> np.ndarray:
+    """Bucket probabilities for each (query) row, with no graph.
+
+    Replays ``_forward_graph`` op by op on the weight arrays, so the result
+    is bit-equal to ``_forward_graph(...).data[query_rows]``. The head split
+    copies q, k^T and v into the contiguous layouts the graph's tensors hold,
+    since BLAS may round differently on other strides. One (H, n, n) score
+    array serves every layer: scale, max-shift, exp and normalise run in
+    place, as do the residual adds and the FFN bias and ReLU, which keeps
+    large temporaries from being handed back to the OS and faulted in again.
+    Query rows are gathered after the final layer norm; every later op works
+    row by row.
+    """
+    w = {name: p.data for name, p in params.items()}
+    n = slots.shape[0]
+    d = config.embed_dim
+    H = config.n_heads
+    dh = d // H
+    scale = 1.0 / math.sqrt(dh)
+
+    pos_sum = w["slot_pos"][:n_active_slots].mean(axis=0) * float(n_active_slots)
+    x = slots @ w["embed_w"] + pos_sum
+    scores = np.empty((H, n, n))
+
+    for i in range(config.n_layers):
+        normed = _ln_affine_numpy(x, w[f"l{i}_ln1_g"], w[f"l{i}_ln1_b"])
+        qh = np.ascontiguousarray((normed @ w[f"l{i}_wq"]).reshape(n, H, dh).transpose(1, 0, 2))
+        kt = np.ascontiguousarray((normed @ w[f"l{i}_wk"]).reshape(n, H, dh).transpose(1, 2, 0))
+        vh = np.ascontiguousarray((normed @ w[f"l{i}_wv"]).reshape(n, H, dh).transpose(1, 0, 2))
+        np.matmul(qh, kt, out=scores)
+        scores *= scale
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        ctx = (scores @ vh).transpose(1, 0, 2).reshape(n, d)
+        x += ctx @ w[f"l{i}_wo"]
+        h = _ln_affine_numpy(x, w[f"l{i}_ln2_g"], w[f"l{i}_ln2_b"]) @ w[f"l{i}_ffn_w1"]
+        h += w[f"l{i}_ffn_b1"]
+        np.maximum(h, 0.0, out=h)
+        ffn = h @ w[f"l{i}_ffn_w2"]
+        ffn += w[f"l{i}_ffn_b2"]
+        x += ffn
+
+    final = _ln_affine_numpy(x, w["final_ln_g"], w["final_ln_b"])
+    if query_rows is not None:
+        final = final[query_rows]
+    logits = final @ w["head_w"] + w["head_b"]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(weights: ExplainerWeights, X: np.ndarray, y_hat: np.ndarray, target_feature: int,
@@ -229,9 +291,7 @@ def forward(weights: ExplainerWeights, X: np.ndarray, y_hat: np.ndarray, target_
             f"{slots.shape[0]} rows exceed max_context_rows={config.max_context_rows}; "
             "split the queries into chunks against a fixed reference set"
         )
-    n_active = X.shape[1] + 1
-    probs = _forward_graph(weights.params, slots, n_active, config, query_rows)
-    out = probs.data
+    out = _forward_numpy(weights.params, slots, X.shape[1] + 1, config, query_rows)
     assert out.shape == (n_query, config.n_buckets)
     return out
 

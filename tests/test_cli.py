@@ -203,6 +203,29 @@ def test_shap_subcommand(workspace, tmp_path):
     np.testing.assert_allclose(data[:, :3].sum(axis=1) + data[:, 3], preds, atol=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["mlp", "forest"])
+def test_shap_feature_count_mismatch_fails_cleanly(tmp_path, capsys, kind):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] > 0).astype(float)
+    if kind == "mlp":
+        model = bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(4,), epochs=5))
+    else:
+        model = bm.train_forest(X, y, bm.ForestConfig(n_estimators=3, max_depth=2))
+    model_path = tmp_path / f"{kind}.ckpt"
+    bm.save_model(model_path, model)
+    csv_in = tmp_path / "rows.csv"
+    csv_in.write_text("x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+    csv_out = tmp_path / "shap.csv"
+    code = cli.main(["shap", "--model", str(model_path), "--input", str(csv_in),
+                     "--output", str(csv_out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "2 feature columns; the model" in err and "takes 3" in err
+    assert "Traceback" not in err
+    assert not csv_out.exists()
+
+
 def test_benchmark_table_structure(workspace):
     root, config = workspace
     assert cli.main(["benchmark", "--config", str(config), "--quiet"]) == 0

@@ -26,6 +26,16 @@ def toy_task(seed, n=12, m=2):
     return X, 1.0 / (1.0 + np.exp(-X.sum(axis=1)))
 
 
+def default_weights(seed):
+    """Default-size weights with every parameter moved off its initial value."""
+    config = ex.ExplainerConfig()
+    rng = np.random.default_rng(seed)
+    params = ex.init_params(config, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(0.0, 0.1, size=p.shape)
+    return ex.ExplainerWeights(params, config)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ex.ExplainerConfig(n_buckets=1)
@@ -120,6 +130,22 @@ def test_forward_row_budget():
     X, y = toy_task(5, n=65)
     with pytest.raises(ValueError, match="chunk"):
         ex.forward(w, X, y, 0)
+
+
+@pytest.mark.parametrize("with_ref", [False, True], ids=["self-context", "reference-set"])
+@pytest.mark.parametrize("m", [1, ex.ExplainerConfig().max_features])
+@pytest.mark.parametrize("n", [97, 160])
+def test_forward_bit_equal_to_graph(n, m, with_ref):
+    w = default_weights(seed=n + m)
+    X, y = toy_task(n + m, n=n, m=m)
+    n_ref = n // 3 if with_ref else 0
+    for j in range(m):
+        if with_ref:
+            probs = ex.forward(w, X[n_ref:], y[n_ref:], j, X_ref=X[:n_ref], y_ref=y[:n_ref])
+        else:
+            probs = ex.forward(w, X, y, j)
+        graph = ex._forward_graph(w.params, ex.encode_rows(X, y, j, w.config), m + 1, w.config)
+        assert np.array_equal(probs, graph.data[n_ref:])
 
 
 def test_point_estimate_onehot_and_uniform():
@@ -239,6 +265,33 @@ def test_explain_zero_shot_chunks_long_tables():
     chunks = [ex.explain_zero_shot(w, X[s : s + 32], y[s : s + 32], X[:32], y[:32])
               for s in (0, 32, 64)]
     np.testing.assert_array_equal(ex.explain_zero_shot(w, X, y), np.vstack(chunks))
+
+
+def test_explain_zero_shot_builds_no_graph(monkeypatch):
+    w = small_weights(random_head=True, seed=15)
+    X, y = toy_task(16, n=70, m=3)
+    created = []
+    init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    ex.explain_zero_shot(w, X, y)  # chunked: 70 rows exceed the 64-row context
+    ex.explain_zero_shot(w, X[:10], y[:10], X[10:30], y[10:30])
+    assert created == []
+    ad.Tensor(np.zeros(1))
+    assert len(created) == 1
+
+
+def test_explain_zero_shot_keeps_no_state_between_calls():
+    w = default_weights(seed=17)
+    Xa, ya = toy_task(18, n=97, m=4)
+    Xb, yb = toy_task(19, n=160, m=6)
+    first = ex.explain_zero_shot(w, Xa, ya)
+    ex.explain_zero_shot(w, Xb, yb)
+    assert np.array_equal(ex.explain_zero_shot(w, Xa, ya), first)
 
 
 def test_weights_roundtrip(tmp_path):
