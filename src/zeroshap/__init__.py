@@ -13,7 +13,6 @@ from .base_models import (
     MlpModel,
     ScalerStats,
     fit_scaler,
-    inverse_transform,
     train_forest,
     train_mlp,
     transform,
@@ -33,11 +32,11 @@ from .explainer import (
 from .metrics import MetricReport, jaccard_topk, measure_runtime, pearson
 from .pool import (
     PoolBuildConfig,
+    PoolError,
     TrainingTriplet,
     build_training_triplet,
     generate_pool,
     pool_read,
-    pool_sample,
     pool_write,
 )
 from .postprocess import CorrectionConfig, efficiency_correct, full_pipeline, recenter, rescale

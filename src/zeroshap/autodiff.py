@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_DEBUG_CHECKS = False
 _UIDS = itertools.count(1)  # creation order, which is topological
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle per-op finiteness assertions (NaN/Inf surface as errors)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
 
 
 class ShapeError(ValueError):
@@ -44,8 +37,6 @@ class Tensor:
         self._backward = _backward
         self._op = _op
         self._uid = next(_UIDS)
-        if _DEBUG_CHECKS and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"non-finite values produced by op '{_op}'")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -1,10 +1,14 @@
 """Base predictors used to label synthetic tasks and to serve as evaluation targets.
 
 The MLP classifier is fitted with a hand-written numpy forward/backward pass
-and the autodiff kernel's Adam step; the random forest is a from-scratch CART
-ensemble with Gini splitting and per-split feature subsampling. Both predict
-class-1 probabilities; attribution ground truth is computed on the probability
-output.
+and the autodiff kernel's Adam step; the random forest is a bagged ensemble of
+Gini CART trees. Both predict class-1 probabilities; attribution ground truth
+is computed on the probability output.
+
+This module is the one home of CART: one builder with per-split feature
+subsampling and two split costs, Gini for the forest classifier and summed
+squared error for the few-shot forest-regressor surrogate, whose trees hold
+multi-output leaves.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
 # ---- standard scaler ----
@@ -42,10 +46,6 @@ def transform(stats: ScalerStats, X: np.ndarray) -> np.ndarray:
     return (np.asarray(X, dtype=np.float64) - stats.mean) / stats.std
 
 
-def inverse_transform(stats: ScalerStats, X: np.ndarray) -> np.ndarray:
-    return np.asarray(X, dtype=np.float64) * stats.std + stats.mean
-
-
 # ---- MLP classifier ----
 
 
@@ -55,7 +55,6 @@ class MlpConfig:
     epochs: int = 2000
     lr0: float = 1e-4
     seed: int = 0
-    train_fraction: float = 1.0
 
 
 @dataclass
@@ -115,7 +114,8 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
     Raises RuntimeError if the loss turns non-finite.
     """
     cfg = cfg or MlpConfig()
-    X = np.asarray(X, dtype=np.float64)
+    # C order fixes the BLAS path of X.T @ g, and with it the rounding
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] < 16:
         raise ValueError("need at least 16 training rows")
@@ -124,17 +124,6 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
         raise ValueError("labels must be binary with both classes present")
 
     rng = np.random.default_rng(cfg.seed)
-    if cfg.train_fraction < 1.0:
-        keep = max(16, int(round(cfg.train_fraction * X.shape[0])))
-        idx = rng.permutation(X.shape[0])[:keep]
-        if len(np.unique(y[idx])) < 2:  # keep both classes in the subset
-            idx = np.concatenate([idx, [int(np.argmax(y != y[idx[0]]))]])
-        X_train, y_train = X[idx], y[idx]
-    else:
-        X_train, y_train = X, y
-    # C order fixes the BLAS path of X.T @ g, and with it the rounding
-    X_train = np.ascontiguousarray(X_train)
-
     weights, biases = _init_mlp(X.shape[1], cfg.hidden_sizes, rng)
     n_layers = len(weights)
     shapes = [w.shape for w in weights] + [b.shape for b in biases]
@@ -148,14 +137,14 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
     params = {"theta": ad.Tensor(theta, requires_grad=True)}
     grads = {"theta": grad}
 
-    yy = y_train.reshape(-1, 1)
+    yy = y.reshape(-1, 1)
     not_yy = 1.0 - yy
-    g_term = -1.0 / X_train.shape[0]  # d loss / d term for loss = -mean(term)
+    g_term = -1.0 / X.shape[0]  # d loss / d term for loss = -mean(term)
     g_log_p, g_log_q = g_term * yy, g_term * not_yy
     state = ad.AdamState()
     losses = np.empty(cfg.epochs)
     for t in range(cfg.epochs):
-        hs, pre = [X_train], []
+        hs, pre = [X], []
         for W, b in zip(Ws[:-1], bs[:-1]):
             pre.append(hs[-1] @ W + b)
             hs.append(np.maximum(pre[-1], 0.0))
@@ -193,22 +182,16 @@ def predict(model, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-# ---- random forest ----
-
-
-@dataclass
-class ForestConfig:
-    n_estimators: int = 100
-    max_depth: int = 8
-    min_samples_leaf: int = 1
-    bootstrap: bool = True
-    feature_subsample: str = "sqrt"  # "sqrt" or "all"
-    seed: int = 0
+# ---- CART ----
 
 
 @dataclass
 class Tree:
-    """Flat-array CART: feature < 0 marks a leaf, value holds P(class 1)."""
+    """Flat-array CART: feature < 0 marks a leaf; value holds each node's mean target.
+
+    ``value`` is (n_nodes,) for a label column, where it is P(class 1), and
+    (n_nodes, d) for d outputs; ``predict`` returns (n,) or (n, d) to match.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -217,7 +200,7 @@ class Tree:
     value: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
+        out = np.empty((X.shape[0],) + self.value.shape[1:])
         active = np.arange(X.shape[0])
         nodes = np.zeros(X.shape[0], dtype=np.int64)
         while active.size:
@@ -234,10 +217,10 @@ class Tree:
         return out
 
 
-def _gini_best_split(Xc: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (threshold, impurity) for one column, or None."""
-    order = np.argsort(Xc, kind="stable")
-    xs, ys = Xc[order], y[order]
+def _gini_best_split(col: np.ndarray, y: np.ndarray):
+    """Best (threshold, impurity) over the cuts between distinct values of one column, or None."""
+    order = np.argsort(col, kind="stable")
+    xs, ys = col[order], y[order]
     n = xs.size
     ones = np.cumsum(ys)
     total1 = ones[-1]
@@ -245,11 +228,10 @@ def _gini_best_split(Xc: np.ndarray, y: np.ndarray, min_leaf: int):
     right_n = n - left_n
     left1 = ones[:-1]
     right1 = total1 - left1
-    with np.errstate(invalid="ignore"):
-        p1l = left1 / left_n
-        p1r = right1 / right_n
-        gini = left_n * (2 * p1l * (1 - p1l)) + right_n * (2 * p1r * (1 - p1r))
-    valid = (xs[1:] != xs[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    p1l = left1 / left_n
+    p1r = right1 / right_n
+    gini = left_n * (2 * p1l * (1 - p1l)) + right_n * (2 * p1r * (1 - p1r))
+    valid = xs[1:] != xs[:-1]
     if not valid.any():
         return None
     gini = np.where(valid, gini, np.inf)
@@ -258,32 +240,61 @@ def _gini_best_split(Xc: np.ndarray, y: np.ndarray, min_leaf: int):
     return threshold, gini[best] / n
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng) -> Tree:
+def _variance_best_split(col: np.ndarray, Y: np.ndarray):
+    """Best (threshold, squared error summed over the outputs of Y (n, d)), or None."""
+    order = np.argsort(col, kind="stable")
+    xs = col[order]
+    ys = Y[order]
+    n = xs.shape[0]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    total_sum, total_sq = csum[-1], csq[-1]
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    left_sum, left_sq = csum[:-1], csq[:-1]
+    sse_left = (left_sq - left_sum**2 / left_n).sum(axis=1)
+    sse_right = ((total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n).sum(axis=1)
+    cost = sse_left + sse_right
+    valid = xs[1:] != xs[:-1]
+    if not valid.any():
+        return None
+    cost = np.where(valid, cost, np.inf)
+    best = int(np.argmin(cost))
+    return 0.5 * (xs[best] + xs[best + 1]), cost[best]
+
+
+def _fit_tree(X: np.ndarray, Y: np.ndarray, max_depth: int, rng, split) -> Tree:
+    """Depth-first CART on the rows of X against targets Y, (n,) or (n, d).
+
+    A node is a leaf at ``max_depth``, below two rows, or when its targets are
+    pure: all within ``np.allclose``'s default tolerance of its first row (on
+    0/1 labels, all equal). Otherwise it draws round(sqrt(m)) candidate features from ``rng``
+    and takes the cheapest cut ``split(column, targets)`` finds among them;
+    rows at or below the threshold go left.
+    """
     m = X.shape[1]
-    n_candidates = max(1, int(round(math.sqrt(m)))) if cfg.feature_subsample == "sqrt" else m
+    n_candidates = max(1, int(round(math.sqrt(m))))
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def new_node():
+    def build(idx: np.ndarray, depth: int) -> int:
+        node = len(feature)
+        Yn = Y[idx]
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    def build(idx: np.ndarray, depth: int) -> int:
-        node = new_node()
-        yn = y[idx]
-        value[node] = float(yn.mean())
-        if depth >= cfg.max_depth or yn.size < 2 * cfg.min_samples_leaf or yn.min() == yn.max():
+        value.append(Yn.mean(axis=0))
+        first = Yn[0]
+        if (depth >= max_depth or idx.size < 2
+                or (np.abs(Yn - first) <= 1e-8 + 1e-5 * np.abs(first)).all()):
             return node
-        if cfg.feature_subsample == "sqrt" and n_candidates < m:
+        if n_candidates < m:
             candidates = np.sort(rng.choice(m, size=n_candidates, replace=False))
         else:
-            candidates = np.arange(m)
+            candidates = range(m)
         best = None
         for f in candidates:
-            res = _gini_best_split(X[idx, f], yn, cfg.min_samples_leaf)
+            res = split(X[idx, f], Yn)
             if res is not None and (best is None or res[1] < best[2]):
                 best = (int(f), res[0], res[1])
         if best is None:
@@ -304,6 +315,19 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig, rng) -> Tree:
         right=np.array(right, dtype=np.int64),
         value=np.array(value),
     )
+
+
+# ---- random forest ----
+
+
+@dataclass
+class ForestConfig:
+    """Bagged Gini CART: every tree fits a bootstrap sample and draws round(sqrt(m))
+    candidate features per split."""
+
+    n_estimators: int = 100
+    max_depth: int = 8
+    seed: int = 0
 
 
 @dataclass
@@ -330,19 +354,17 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None) 
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(np.unique(y)) < 2 or not set(np.unique(y)) <= {0.0, 1.0}:
         raise ValueError("labels must be binary with both classes present")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_estimators)
     trees = []
-    for seq in seeds:
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_estimators):
         rng = np.random.default_rng(seq)
-        if cfg.bootstrap:
-            idx = rng.integers(0, X.shape[0], size=X.shape[0])
-            trees.append(_fit_tree(X[idx], y[idx], cfg, rng))
-        else:
-            trees.append(_fit_tree(X, y, cfg, rng))
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(_fit_tree(X[idx], y[idx], cfg.max_depth, rng, _gini_best_split))
     return ForestModel(trees=trees, config=cfg, n_features=X.shape[1])
 
 
 # ---- checkpoints ----
+
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def save_model(path, model) -> None:
@@ -356,24 +378,15 @@ def save_model(path, model) -> None:
             "epochs": model.config.epochs,
             "lr0": model.config.lr0,
             "seed": model.config.seed,
-            "train_fraction": model.config.train_fraction,
             "n_layers": len(model.weights),
         }
         save_checkpoint(path, "mlp", arrays, config=config)
     elif isinstance(model, ForestModel):
-        arrays = {}
-        for i, tree in enumerate(model.trees):
-            arrays[f"t{i}_feature"] = tree.feature
-            arrays[f"t{i}_threshold"] = tree.threshold
-            arrays[f"t{i}_left"] = tree.left
-            arrays[f"t{i}_right"] = tree.right
-            arrays[f"t{i}_value"] = tree.value
+        arrays = {f"t{i}_{name}": getattr(tree, name)
+                  for i, tree in enumerate(model.trees) for name in _TREE_ARRAYS}
         config = {
             "n_estimators": model.config.n_estimators,
             "max_depth": model.config.max_depth,
-            "min_samples_leaf": model.config.min_samples_leaf,
-            "bootstrap": model.config.bootstrap,
-            "feature_subsample": model.config.feature_subsample,
             "seed": model.config.seed,
             "n_features": model.n_features,
         }
@@ -383,38 +396,53 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
+    """The model ``save_model`` wrote; CheckpointError if the file holds no such model.
+
+    Config keys that are not read (such as the forest knobs of older files)
+    are ignored.
+    """
     arrays, config, _ = load_checkpoint(path)
-    if "n_layers" in config:
-        n_layers = config["n_layers"]
-        cfg = MlpConfig(
-            hidden_sizes=tuple(config["hidden_sizes"]),
-            epochs=config["epochs"],
-            lr0=config["lr0"],
-            seed=config["seed"],
-            train_fraction=config.get("train_fraction", 1.0),
-        )
-        return MlpModel(
-            weights=[arrays[f"w{i}"] for i in range(n_layers)],
-            biases=[arrays[f"b{i}"] for i in range(n_layers)],
-            config=cfg,
-        )
-    cfg = ForestConfig(
-        n_estimators=config["n_estimators"],
-        max_depth=config["max_depth"],
-        min_samples_leaf=config["min_samples_leaf"],
-        bootstrap=config["bootstrap"],
-        feature_subsample=config["feature_subsample"],
-        seed=config["seed"],
-    )
-    n_trees = cfg.n_estimators
-    trees = [
-        Tree(
-            feature=arrays[f"t{i}_feature"],
-            threshold=arrays[f"t{i}_threshold"],
-            left=arrays[f"t{i}_left"],
-            right=arrays[f"t{i}_right"],
-            value=arrays[f"t{i}_value"],
-        )
-        for i in range(n_trees)
-    ]
-    return ForestModel(trees=trees, config=cfg, n_features=config["n_features"])
+    try:
+        if "n_layers" in config:
+            n_layers = config["n_layers"]
+            model = MlpModel(
+                weights=[arrays[f"w{i}"] for i in range(n_layers)],
+                biases=[arrays[f"b{i}"] for i in range(n_layers)],
+                config=MlpConfig(hidden_sizes=tuple(config["hidden_sizes"]), epochs=config["epochs"],
+                                 lr0=config["lr0"], seed=config["seed"]),
+            )
+            widths = [model.n_features] + [w.shape[1] for w in model.weights]
+            fits = n_layers >= 1 and widths[-1] == 1 and all(
+                w.shape == (a, b) and bias.shape == (b,) and np.isfinite(w).all()
+                and np.isfinite(bias).all()
+                for w, bias, a, b in zip(model.weights, model.biases, widths, widths[1:]))
+        else:
+            cfg = ForestConfig(n_estimators=config["n_estimators"], max_depth=config["max_depth"],
+                               seed=config["seed"])
+            trees = [Tree(*(arrays[f"t{i}_{name}"] for name in _TREE_ARRAYS))
+                     for i in range(cfg.n_estimators)]
+            model = ForestModel(trees=trees, config=cfg, n_features=config["n_features"])
+            fits = bool(trees) and all(_tree_fits(tree, model.n_features) for tree in trees)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise CheckpointError(f"{path}: not a base-model checkpoint ({type(exc).__name__}: {exc})") from exc
+    if not fits:
+        raise CheckpointError(f"{path}: arrays do not form a {type(model).__name__}")
+    return model
+
+
+def _tree_fits(tree: Tree, n_features: int) -> bool:
+    """One finite label column per node, integer links, and every split feature in range.
+
+    Children must come after their parent, as the builder numbers them, so
+    that a walk always ends at a leaf.
+    """
+    n_nodes = tree.feature.shape[0]
+    if not n_nodes or any(getattr(tree, name).shape != (n_nodes,) for name in _TREE_ARRAYS):
+        return False
+    if any(getattr(tree, name).dtype.kind != "i" for name in ("feature", "left", "right")):
+        return False
+    nodes = np.flatnonzero(tree.feature >= 0)
+    return bool((tree.feature < n_features).all()
+                and np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()
+                and all(((child[nodes] > nodes) & (child[nodes] < n_nodes)).all()
+                        for child in (tree.left, tree.right)))

@@ -87,6 +87,8 @@ def load_checkpoint(path, expected_kind: str | None = None):
         table = [(entry["name"], entry["dtype"], entry["shape"]) for entry in table]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+    if not (isinstance(config, dict) and isinstance(metadata, dict)):
+        raise CheckpointError(f"{path}: malformed header (config and metadata must be objects)")
     arrays: dict[str, np.ndarray] = {}
     offset = body_start + header_len
     for name, tag, shape in table:

@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig
 from .dag_recovery import dag_recovery
 from .explainer import explain_zero_shot, load_weights, save_weights, train
 from .metrics import MetricReport, mean_jaccard_topk, measure_runtime, pearson
-from .pool import build_pool_entry, generate_pool, make_pool_sampler, pool_read, pool_task_ids
+from .pool import PoolError, generate_pool, make_pool_sampler, pool_read, pool_task_ids
 from .postprocess import full_pipeline
 from .scm import TaskRejected, sample_task
 from .shapley import ShapConfig, hybrid_shapley, subsample_background
@@ -391,7 +391,7 @@ def cmd_validate(args) -> int:
                 if col_mean > 1e-6 or col_std > 1e-6:
                     raise ValueError(f"feature columns not standardized (mean {col_mean:.1e}, std dev {col_std:.1e})")
                 report(f"triplet {task_id}", True)
-            except Exception as exc:  # noqa: BLE001 - report every failure kind
+            except (PoolError, ValueError) as exc:
                 report(f"triplet {task_id}", False, str(exc))
     if args.checkpoint:
         import tempfile
@@ -488,7 +488,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, CheckpointError) as exc:
+    except (InputError, CheckpointError, PoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

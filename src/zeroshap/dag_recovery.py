@@ -52,15 +52,6 @@ def top_edges(weight_matrix: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return sorted(ranked[: min(budget, len(ranked))])
 
 
-def percentile_edges(weight_matrix: np.ndarray, percentile: float) -> list[tuple[int, int]]:
-    """Edges whose weight reaches the given percentile of all candidate weights."""
-    m = weight_matrix.shape[0]
-    candidates = [(k, j) for k in range(m) for j in range(m) if k != j]
-    values = np.array([weight_matrix[e] for e in candidates])
-    threshold = np.percentile(values, percentile)
-    return sorted(e for e in candidates if weight_matrix[e] >= threshold)
-
-
 def attribution_edge_weights(weights: ExplainerWeights, X: np.ndarray) -> np.ndarray:
     """W[k, j]: corrected mean |attribution| of feature k when explaining column j."""
     X = np.asarray(X, dtype=np.float64)

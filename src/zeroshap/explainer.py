@@ -16,13 +16,14 @@ op, so its output is bit-equal to the graph's.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
 @dataclass
@@ -132,37 +133,44 @@ def encode_rows(X: np.ndarray, y_hat: np.ndarray, target_feature: int,
     return slots
 
 
-def init_params(config: ExplainerConfig, rng: np.random.Generator) -> dict[str, ad.Tensor]:
-    d = config.embed_dim
-    S = config.n_slots
+def _param_specs(config: ExplainerConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, initialiser) of every parameter, in the order ``init_params`` draws them."""
+    d, S, B = config.embed_dim, config.n_slots, config.n_buckets
     hidden = d * config.ffn_multiplier
-
-    def p(arr):
-        return ad.Tensor(arr, requires_grad=True)
-
-    params = {
-        "embed_w": p(ad.xavier_init(rng, S, d)),
-        "slot_pos": p(rng.normal(0.0, 0.02, size=(S, d))),
-        "final_ln_g": p(np.ones(d)),
-        "final_ln_b": p(np.zeros(d)),
+    specs = [
+        ("embed_w", (S, d), "xavier"),
+        ("slot_pos", (S, d), "position"),
+        ("final_ln_g", (d,), "ones"),
+        ("final_ln_b", (d,), "zeros"),
         # zero-init head: the initial predictive distribution is uniform
-        "head_w": p(np.zeros((d, config.n_buckets))),
-        "head_b": p(np.zeros(config.n_buckets)),
-    }
+        ("head_w", (d, B), "zeros"),
+        ("head_b", (B,), "zeros"),
+    ]
     for i in range(config.n_layers):
-        params[f"l{i}_wq"] = p(ad.xavier_init(rng, d, d))
-        params[f"l{i}_wk"] = p(ad.xavier_init(rng, d, d))
-        params[f"l{i}_wv"] = p(ad.xavier_init(rng, d, d))
-        params[f"l{i}_wo"] = p(ad.xavier_init(rng, d, d))
-        params[f"l{i}_ln1_g"] = p(np.ones(d))
-        params[f"l{i}_ln1_b"] = p(np.zeros(d))
-        params[f"l{i}_ffn_w1"] = p(ad.xavier_init(rng, d, hidden))
-        params[f"l{i}_ffn_b1"] = p(np.zeros(hidden))
-        params[f"l{i}_ffn_w2"] = p(ad.xavier_init(rng, hidden, d))
-        params[f"l{i}_ffn_b2"] = p(np.zeros(d))
-        params[f"l{i}_ln2_g"] = p(np.ones(d))
-        params[f"l{i}_ln2_b"] = p(np.zeros(d))
-    return params
+        specs += [(f"l{i}_{name}", (d, d), "xavier") for name in ("wq", "wk", "wv", "wo")]
+        specs += [
+            (f"l{i}_ln1_g", (d,), "ones"),
+            (f"l{i}_ln1_b", (d,), "zeros"),
+            (f"l{i}_ffn_w1", (d, hidden), "xavier"),
+            (f"l{i}_ffn_b1", (hidden,), "zeros"),
+            (f"l{i}_ffn_w2", (hidden, d), "xavier"),
+            (f"l{i}_ffn_b2", (d,), "zeros"),
+            (f"l{i}_ln2_g", (d,), "ones"),
+            (f"l{i}_ln2_b", (d,), "zeros"),
+        ]
+    return specs
+
+
+def init_params(config: ExplainerConfig, rng: np.random.Generator) -> dict[str, ad.Tensor]:
+    def init(shape, kind):
+        if kind == "xavier":
+            return ad.xavier_init(rng, *shape)
+        if kind == "position":
+            return rng.normal(0.0, 0.02, size=shape)
+        return np.ones(shape) if kind == "ones" else np.zeros(shape)
+
+    return {name: ad.Tensor(init(shape, kind), requires_grad=True)
+            for name, shape, kind in _param_specs(config)}
 
 
 def _ln_affine(x, gain, bias):
@@ -431,7 +439,29 @@ def save_weights(path, weights: ExplainerWeights) -> None:
 
 
 def load_weights(path) -> ExplainerWeights:
+    """Weights ``save_weights`` wrote; CheckpointError if the file's config or
+    arrays do not make an explainer."""
     arrays, config, metadata = load_checkpoint(path, expected_kind="explainer")
-    cfg = ExplainerConfig(**config)
+    fields = {f.name: type(f.default) for f in dataclasses.fields(ExplainerConfig)}
+    if config.keys() != fields.keys():
+        raise CheckpointError(f"{path}: config keys missing {sorted(fields - config.keys())}, "
+                              f"unknown {sorted(config.keys() - fields)}")
+    # a float field may hold an int, as a Python caller may have passed one
+    mistyped = sorted(name for name, kind in fields.items() if type(config[name]) not in (kind, int))
+    if mistyped:
+        raise CheckpointError(f"{path}: config values of the wrong type: {mistyped}")
+    try:
+        cfg = ExplainerConfig(**config)
+    except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError: n_heads of 0
+        raise CheckpointError(f"{path}: config does not describe an explainer ({exc})") from exc
+    expected = {name: shape for name, shape, _ in _param_specs(cfg)}
+    found = {name: arr.shape for name, arr in arrays.items()}
+    if found != expected:
+        wrong = sorted(name for name in expected.keys() | found.keys()
+                       if found.get(name) != expected.get(name))
+        raise CheckpointError(f"{path}: arrays do not fit the config: {wrong[:5]} "
+                              f"missing, unknown or misshapen")
+    if not all(np.isfinite(arr).all() for arr in arrays.values()):
+        raise CheckpointError(f"{path}: non-finite weights")
     params = {name: ad.Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
     return ExplainerWeights(params=params, config=cfg, metadata=metadata)

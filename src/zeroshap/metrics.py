@@ -12,14 +12,12 @@ import numpy as np
 class MetricReport:
     pearson: float
     jaccard_topk: float
-    runtime_seconds: float | None = None
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
             "pearson": self.pearson,
             "jaccard_topk": self.jaccard_topk,
-            "runtime_seconds": self.runtime_seconds,
         }
         out.update(self.metadata)
         return out

@@ -29,6 +29,10 @@ POOL_FORMAT_VERSION = 1
 REFRESH_EVERY = 16
 
 
+class PoolError(IOError):
+    """A pool entry that cannot be read or parsed, or a pool with no readable entry."""
+
+
 @dataclass
 class TrainingTriplet:
     """One (X, Y_hat, Phi) supervision record with its base value and provenance."""
@@ -173,21 +177,33 @@ def pool_write(pool_dir, task_id: int | str, triplet: TrainingTriplet) -> None:
 
 
 def pool_read(pool_dir, task_id: int | str) -> TrainingTriplet:
+    """One committed entry; raises PoolError if its files are missing, malformed or
+    disagree, or if it holds a non-finite value."""
     pool_dir = Path(pool_dir)
-    header = json.loads((pool_dir / f"{task_id}.json").read_text())
+    try:
+        header = json.loads((pool_dir / f"{task_id}.json").read_text())
+        raw = (pool_dir / f"{task_id}.bin").read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise PoolError(f"pool entry {task_id}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise PoolError(f"pool entry {task_id}: sidecar is not a JSON object")
     version = header.get("format_version")
     if version != POOL_FORMAT_VERSION:
-        raise ValueError(f"pool format version mismatch: file has {version}, reader supports {POOL_FORMAT_VERSION}")
-    n, m = header["n"], header["m"]
-    raw = (pool_dir / f"{task_id}.bin").read_bytes()
+        raise PoolError(f"pool entry {task_id}: format version mismatch: file has {version}, "
+                        f"reader supports {POOL_FORMAT_VERSION}")
+    n, m, provenance = header.get("n"), header.get("m"), header.get("provenance")
+    if not (type(n) is int and type(m) is int and n >= 1 and m >= 1 and isinstance(provenance, dict)):
+        raise PoolError(f"pool entry {task_id}: sidecar needs integers n, m >= 1 and a provenance object")
     expected = (2 * n * m + n + 1) * 8
     if len(raw) != expected:
-        raise ValueError(f"{task_id}.bin has {len(raw)} bytes, expected {expected}")
-    X = np.frombuffer(raw, dtype="<f8", count=n * m).reshape(n, m).copy()
-    y_hat = np.frombuffer(raw, dtype="<f8", count=n, offset=n * m * 8).copy()
-    phi = np.frombuffer(raw, dtype="<f8", count=n * m, offset=(n * m + n) * 8).reshape(n, m).copy()
-    (base_value,) = struct.unpack_from("<d", raw, (2 * n * m + n) * 8)
-    return TrainingTriplet(X=X, y_hat=y_hat, phi=phi, base_value=base_value, provenance=header["provenance"])
+        raise PoolError(f"pool entry {task_id}: {task_id}.bin has {len(raw)} bytes, expected {expected}")
+    values = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise PoolError(f"pool entry {task_id}: non-finite values in {task_id}.bin")
+    X = values[: n * m].reshape(n, m).copy()
+    y_hat = values[n * m : n * m + n].copy()
+    phi = values[n * m + n : 2 * n * m + n].reshape(n, m).copy()
+    return TrainingTriplet(X=X, y_hat=y_hat, phi=phi, base_value=float(values[-1]), provenance=provenance)
 
 
 def pool_task_ids(pool_dir) -> list[str]:
@@ -195,18 +211,14 @@ def pool_task_ids(pool_dir) -> list[str]:
     return sorted(p.stem for p in Path(pool_dir).glob("*.json"))
 
 
-def pool_sample(pool_dir, rng: np.random.Generator, timeout: float = 10.0) -> TrainingTriplet:
-    """One uniform draw over committed entries; see ``make_pool_sampler``."""
-    return make_pool_sampler(pool_dir, rng, timeout)()
-
-
 def make_pool_sampler(pool_dir, rng: np.random.Generator, timeout: float = 10.0):
     """Sampler closure: uniform draws with replacement over committed entries.
 
     The directory is re-listed every ``REFRESH_EVERY`` draws, so entries that
     writers commit meanwhile join the draws. A draw blocks up to ``timeout``
-    seconds while the pool is empty. Corrupted entries are skipped with a
-    warning and left out of later draws.
+    seconds while the pool is empty. Entries that ``pool_read`` rejects are
+    skipped with a warning and left out of later draws; once none is left,
+    a draw raises PoolError.
     """
     ids: list[str] = []
     excluded: set[str] = set()
@@ -222,7 +234,7 @@ def make_pool_sampler(pool_dir, rng: np.random.Generator, timeout: float = 10.0)
                 ids = [t for t in pool_task_ids(pool_dir) if t not in excluded]
             if not ids:
                 if excluded:
-                    raise IOError(f"all {len(excluded)} pool entries are unreadable")
+                    raise PoolError(f"all {len(excluded)} pool entries are unreadable")
                 if time.monotonic() >= deadline:
                     raise TimeoutError(f"pool {pool_dir} stayed empty for {timeout:.1f}s")
                 time.sleep(0.05)
@@ -231,7 +243,7 @@ def make_pool_sampler(pool_dir, rng: np.random.Generator, timeout: float = 10.0)
             task_id = ids[int(rng.integers(0, len(ids)))]
             try:
                 return pool_read(pool_dir, task_id)
-            except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+            except PoolError as exc:
                 warnings.warn(f"skipping corrupted pool entry {task_id}: {exc}")
                 excluded.add(task_id)
                 ids = [t for t in ids if t != task_id]

@@ -3,7 +3,9 @@
 Each surrogate is a joint multi-output regression from (x, y_hat) to the
 full attribution vector; with k <= 10 supervision rows, per-feature models
 would be under-determined. Surrogates never see the base model, only the
-reference triplets and query (X, Y_hat) pairs.
+reference triplets and query (X, Y_hat) pairs. The forest regressor keeps no
+tree code of its own: its trees are ``base_models`` CART trees grown on the
+variance split cost.
 """
 
 from __future__ import annotations
@@ -14,6 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .base_models import _fit_tree, _variance_best_split
+
+KNN_MAX_NEIGHBORS = 3
+MLP_HIDDEN = 32
+MLP_EPOCHS = 500
+MLP_LR = 1e-2
+FOREST_SIZE = 30
+FOREST_DEPTH = 4
 
 
 @dataclass
@@ -44,16 +54,6 @@ class ReferenceSet:
 
 
 @dataclass
-class SurrogateConfig:
-    knn_max_neighbors: int = 3
-    mlp_hidden: int = 32
-    mlp_epochs: int = 500
-    mlp_lr: float = 1e-2
-    forest_size: int = 30
-    forest_depth: int = 4
-
-
-@dataclass
 class Surrogate:
     kind: str
     m: int
@@ -63,9 +63,7 @@ class Surrogate:
 _MIN_REFS = {"knn": 1, "mlp_regressor": 2, "forest_regressor": 2}
 
 
-def fit_surrogate(kind: str, refs: ReferenceSet, cfg: SurrogateConfig | None = None,
-                  rng: np.random.Generator | None = None) -> Surrogate:
-    cfg = cfg or SurrogateConfig()
+def fit_surrogate(kind: str, refs: ReferenceSet, rng: np.random.Generator | None = None) -> Surrogate:
     rng = rng if rng is not None else np.random.default_rng(0)
     if kind not in _MIN_REFS:
         raise ValueError(f"unknown surrogate kind {kind!r}")
@@ -73,11 +71,11 @@ def fit_surrogate(kind: str, refs: ReferenceSet, cfg: SurrogateConfig | None = N
         raise ValueError(f"{kind} needs at least {_MIN_REFS[kind]} references, got {refs.k}")
     if kind == "knn":
         state = {"inputs": refs.inputs(), "phi": refs.phi.copy(),
-                 "n_neighbors": min(cfg.knn_max_neighbors, refs.k)}
+                 "n_neighbors": min(KNN_MAX_NEIGHBORS, refs.k)}
     elif kind == "mlp_regressor":
-        state = _fit_mlp_regressor(refs, cfg, rng)
+        state = _fit_mlp_regressor(refs, rng)
     else:
-        state = _fit_forest_regressor(refs, cfg, rng)
+        state = _fit_forest_regressor(refs, rng)
     return Surrogate(kind=kind, m=refs.m, state=state)
 
 
@@ -119,25 +117,25 @@ def _predict_knn(state, Z: np.ndarray) -> np.ndarray:
 # ---- small MSE-trained MLP ----
 
 
-def _fit_mlp_regressor(refs: ReferenceSet, cfg: SurrogateConfig, rng) -> dict:
+def _fit_mlp_regressor(refs: ReferenceSet, rng) -> dict:
     Z = refs.inputs()
     Y = refs.phi
     d_in, d_out = Z.shape[1], Y.shape[1]
     params = {
-        "w1": ad.Tensor(rng.normal(0, math.sqrt(2.0 / d_in), size=(d_in, cfg.mlp_hidden)), requires_grad=True),
-        "b1": ad.Tensor(np.zeros(cfg.mlp_hidden), requires_grad=True),
-        "w2": ad.Tensor(np.zeros((cfg.mlp_hidden, d_out)), requires_grad=True),
+        "w1": ad.Tensor(rng.normal(0, math.sqrt(2.0 / d_in), size=(d_in, MLP_HIDDEN)), requires_grad=True),
+        "b1": ad.Tensor(np.zeros(MLP_HIDDEN), requires_grad=True),
+        "w2": ad.Tensor(np.zeros((MLP_HIDDEN, d_out)), requires_grad=True),
         "b2": ad.Tensor(np.zeros(d_out), requires_grad=True),
     }
     state = ad.AdamState()
     zt = ad.Tensor(Z)
-    for _ in range(cfg.mlp_epochs):
+    for _ in range(MLP_EPOCHS):
         h = ad.relu(ad.add(ad.matmul(zt, params["w1"]), params["b1"]))
         pred = ad.add(ad.matmul(h, params["w2"]), params["b2"])
         diff = ad.add(pred, ad.multiply(ad.Tensor(Y), -1.0))
         loss = ad.reduce_mean(ad.multiply(diff, diff))
         loss.backward()
-        ad.adam_step(params, {k: p.grad for k, p in params.items()}, state, lr=cfg.mlp_lr)
+        ad.adam_step(params, {k: p.grad for k, p in params.items()}, state, lr=MLP_LR)
     return {name: p.data for name, p in params.items()}
 
 
@@ -149,74 +147,20 @@ def _predict_mlp(state, Z: np.ndarray) -> np.ndarray:
 # ---- multi-output regression forest ----
 
 
-def _variance_best_split(col: np.ndarray, Y: np.ndarray):
-    order = np.argsort(col, kind="stable")
-    xs = col[order]
-    ys = Y[order]
-    n = xs.shape[0]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    total_sum, total_sq = csum[-1], csq[-1]
-    left_n = np.arange(1, n)[:, None]
-    right_n = n - left_n
-    left_sum, left_sq = csum[:-1], csq[:-1]
-    # summed squared error across outputs for each split point
-    sse_left = (left_sq - left_sum**2 / left_n).sum(axis=1)
-    sse_right = ((total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n).sum(axis=1)
-    cost = sse_left + sse_right
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    cost = np.where(valid, cost, np.inf)
-    best = int(np.argmin(cost))
-    return 0.5 * (xs[best] + xs[best + 1]), cost[best]
-
-
-def _fit_regression_tree(Z: np.ndarray, Y: np.ndarray, depth_left: int, rng) -> dict:
-    node = {"value": Y.mean(axis=0)}
-    if depth_left == 0 or Z.shape[0] < 2 or np.allclose(Y, Y[0]):
-        return node
-    n_feats = Z.shape[1]
-    n_cand = max(1, int(round(math.sqrt(n_feats))))
-    candidates = np.sort(rng.choice(n_feats, size=n_cand, replace=False)) if n_cand < n_feats else np.arange(n_feats)
-    best = None
-    for f in candidates:
-        res = _variance_best_split(Z[:, f], Y)
-        if res is not None and (best is None or res[1] < best[2]):
-            best = (int(f), res[0], res[1])
-    if best is None:
-        return node
-    f, thr, _ = best
-    mask = Z[:, f] <= thr
-    node.update(
-        feature=f,
-        threshold=thr,
-        left=_fit_regression_tree(Z[mask], Y[mask], depth_left - 1, rng),
-        right=_fit_regression_tree(Z[~mask], Y[~mask], depth_left - 1, rng),
-    )
-    return node
-
-
-def _tree_predict_row(node: dict, z: np.ndarray) -> np.ndarray:
-    while "feature" in node:
-        node = node["left"] if z[node["feature"]] <= node["threshold"] else node["right"]
-    return node["value"]
-
-
-def _fit_forest_regressor(refs: ReferenceSet, cfg: SurrogateConfig, rng) -> dict:
+def _fit_forest_regressor(refs: ReferenceSet, rng) -> dict:
+    """Bootstrap samples and candidate features all come from the one shared ``rng``."""
     Z = refs.inputs()
     Y = refs.phi
     trees = []
-    for _ in range(cfg.forest_size):
+    for _ in range(FOREST_SIZE):
         idx = rng.integers(0, Z.shape[0], size=Z.shape[0])
-        trees.append(_fit_regression_tree(Z[idx], Y[idx], cfg.forest_depth, rng))
+        trees.append(_fit_tree(Z[idx], Y[idx], FOREST_DEPTH, rng, _variance_best_split))
     return {"trees": trees}
 
 
 def _predict_forest(state, Z: np.ndarray) -> np.ndarray:
-    trees = state["trees"]
     out = None
-    for tree in trees:
-        pred = np.vstack([_tree_predict_row(tree, z) for z in Z])
+    for tree in state["trees"]:
+        pred = tree.predict(Z)
         out = pred if out is None else out + pred
-    return out / len(trees)
+    return out / len(state["trees"])

@@ -59,7 +59,7 @@ def brute_force_base_value(predict_fn, background):
 def autodiff_train_mlp(X, y, cfg):
     """Reference MLP fit: the BCE loss built as an autodiff graph each epoch.
 
-    The same data subset, initialisation and Adam schedule as
+    The same initialisation and Adam schedule as
     ``base_models.train_mlp``; only the gradient path differs.
     """
     from zeroshap import autodiff as ad
@@ -68,12 +68,6 @@ def autodiff_train_mlp(X, y, cfg):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     rng = np.random.default_rng(cfg.seed)
-    if cfg.train_fraction < 1.0:
-        keep = max(16, int(round(cfg.train_fraction * X.shape[0])))
-        idx = rng.permutation(X.shape[0])[:keep]
-        if len(np.unique(y[idx])) < 2:
-            idx = np.concatenate([idx, [int(np.argmax(y != y[idx[0]]))]])
-        X, y = X[idx], y[idx]
     weights, biases = bm._init_mlp(X.shape[1], cfg.hidden_sizes, rng)
     n_layers = len(weights)
     params = {f"w{i}": ad.Tensor(w, requires_grad=True) for i, w in enumerate(weights)}

@@ -69,11 +69,10 @@ def _noisy(n, m, seed):
 @pytest.mark.parametrize("n, m, fortran, cfg", [
     # default config; a Fortran-ordered X must not change the BLAS path
     (128, 5, True, bm.MlpConfig()),
-    (96, 3, False, bm.MlpConfig(epochs=300, train_fraction=0.5, seed=2)),
     (120, 2, False, bm.MlpConfig(hidden_sizes=(12, 12), epochs=300, lr0=1e-3, seed=4)),
     # saturates p within a few epochs, so both 1e-12 clamps take effect
     (64, 3, False, bm.MlpConfig(epochs=100, lr0=1.0, seed=1)),
-], ids=["default-fortran", "train-fraction", "two-hidden-layers", "clamped"])
+], ids=["default-fortran", "two-hidden-layers", "clamped"])
 def test_mlp_fit_bit_identical_to_autodiff_graph(n, m, fortran, cfg):
     X, y = _noisy(n, m, seed=n + m)
     if fortran:
@@ -145,14 +144,44 @@ def test_forest_step_function_accuracy():
     assert acc >= 0.95
 
 
-def test_forest_single_tree_no_bootstrap_equals_cart():
+def test_forest_single_tree_equals_cart_on_its_bootstrap():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(120, 3))
     y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(float)
-    cfg = bm.ForestConfig(n_estimators=1, bootstrap=False, feature_subsample="all", seed=7)
-    forest = bm.train_forest(X, y, cfg)
-    tree = bm._fit_tree(X, y, cfg, np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0]))
+    forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=1, seed=7))
+    tree_rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+    idx = tree_rng.integers(0, 120, size=120)
+    tree = bm._fit_tree(X[idx], y[idx], 8, tree_rng, bm._gini_best_split)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert np.array_equal(getattr(forest.trees[0], name), getattr(tree, name))
     np.testing.assert_array_equal(forest.predict_proba(X), tree.predict(X))
+
+
+def test_tree_multi_output_predict_matches_per_column_walks():
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(40, 4))
+    Y = np.column_stack([2.0 * X[:, 0], np.sin(X[:, 1]), X[:, 2] * X[:, 3]])
+    tree = bm._fit_tree(X, Y, 4, rng, bm._variance_best_split)
+    assert (tree.feature >= 0).sum() >= 3
+    assert tree.value.shape == (tree.feature.size, 3)
+    Xq = rng.normal(size=(25, 4))
+    out = tree.predict(Xq)
+    assert out.shape == (25, 3)
+    for j in range(3):
+        column = bm.Tree(tree.feature, tree.threshold, tree.left, tree.right, tree.value[:, j].copy())
+        assert np.array_equal(out[:, j], column.predict(Xq))
+
+
+def test_tree_purity_is_np_allclose_to_the_first_row():
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(20, 2))
+    Y = np.tile([0.3, -1.0], (20, 1)) + 1e-10 * rng.normal(size=(20, 2))
+    assert np.allclose(Y, Y[0])
+    tree = bm._fit_tree(X, Y, 4, np.random.default_rng(0), bm._variance_best_split)
+    assert tree.feature.tolist() == [-1]
+    Y[5, 1] += 1e-4  # beyond rtol * |Y[0, 1]| + atol
+    tree = bm._fit_tree(X, Y, 4, np.random.default_rng(0), bm._variance_best_split)
+    assert tree.feature[0] >= 0
 
 
 def test_forest_probabilities_in_range():
@@ -202,7 +231,7 @@ def test_scaler_roundtrip():
     rng = np.random.default_rng(12)
     X = rng.normal(loc=-2.0, scale=4.0, size=(64, 5))
     stats = bm.fit_scaler(X)
-    back = bm.inverse_transform(stats, bm.transform(stats, X))
+    back = bm.transform(stats, X) * stats.std + stats.mean
     np.testing.assert_allclose(back, X, atol=1e-12)
 
 
@@ -250,3 +279,62 @@ def test_eval_variant_two_hidden_layers():
     assert len(model.weights) == 3
     assert model.weights[0].shape == (2, 12)
     assert model.weights[1].shape == (12, 12)
+
+
+def _small_models():
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] > 0).astype(float)
+    return {"mlp": bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(4,), epochs=5)),
+            "forest": bm.train_forest(X, y, bm.ForestConfig(n_estimators=3, max_depth=3))}
+
+
+def _drop(key):
+    return lambda arrays, config: config.pop(key)
+
+
+def _set_array(name, edit):
+    return lambda arrays, config: arrays.__setitem__(name, edit(arrays[name]))
+
+
+@pytest.mark.parametrize("kind, corrupt, message", [
+    ("forest", _drop("n_estimators"), "not a base-model checkpoint"),
+    ("forest", lambda arrays, config: arrays.pop("t1_left"), "t1_left"),
+    ("forest", lambda arrays, config: config.update(n_estimators=0), "ForestModel"),
+    ("forest", _set_array("t0_left", lambda a: np.where(a > 0, 0, a)), "ForestModel"),
+    ("forest", _set_array("t2_feature", lambda a: a + 3), "ForestModel"),
+    ("forest", _set_array("t0_value", lambda a: a[:-1]), "ForestModel"),
+    ("forest", _set_array("t0_value", lambda a: np.full_like(a, np.nan)), "ForestModel"),
+    ("mlp", _drop("hidden_sizes"), "not a base-model checkpoint"),
+    ("mlp", lambda arrays, config: arrays.pop("b0"), "b0"),
+    ("mlp", lambda arrays, config: config.update(n_layers=3), "w2"),
+    ("mlp", _set_array("w1", lambda a: a[:2]), "MlpModel"),
+    ("mlp", _set_array("w0", lambda a: a.ravel()), "IndexError"),
+    ("mlp", _set_array("b1", lambda a: a / 0.0), "MlpModel"),
+], ids=["no-n-estimators", "no-tree-array", "no-trees", "cyclic-link", "feature-out-of-range",
+        "short-value", "nan-value", "no-hidden-sizes", "no-bias", "extra-layer", "width-mismatch",
+        "flat-weights", "inf-bias"])
+def test_load_model_rejects_checkpoints_that_do_not_fit(tmp_path, kind, corrupt, message):
+    from zeroshap.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+
+    path = tmp_path / f"{kind}.ckpt"
+    bm.save_model(path, _small_models()[kind])
+    arrays, config, _ = load_checkpoint(path)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corrupt(arrays, config)
+    save_checkpoint(path, kind, arrays, config=config)
+    with pytest.raises(CheckpointError, match=message):
+        bm.load_model(path)
+
+
+def test_load_model_ignores_the_retired_forest_knobs(tmp_path):
+    from zeroshap.checkpoint import load_checkpoint, save_checkpoint
+
+    forest = _small_models()["forest"]
+    path = tmp_path / "forest.ckpt"
+    bm.save_model(path, forest)
+    arrays, config, _ = load_checkpoint(path)
+    config.update(min_samples_leaf=1, bootstrap=True, feature_subsample="sqrt")
+    save_checkpoint(path, "forest", arrays, config=config)
+    X = np.random.default_rng(18).normal(size=(10, 3))
+    assert np.array_equal(bm.load_model(path).predict_proba(X), forest.predict_proba(X))

@@ -303,3 +303,37 @@ def test_explain_corrupt_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
                      "--input", str(csv_in), "--output", str(tmp_path / "attr.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda arrays, config: config.update(n_head=config.pop("n_heads")), "config keys missing"),
+    (lambda arrays, config: arrays.update(slot_pox=arrays.pop("slot_pos")), "slot_pos"),
+    (lambda arrays, config: config.update(n_heads=3), "divisible"),
+], ids=["renamed-key", "renamed-array", "heads-do-not-divide"])
+def test_explain_checkpoint_that_does_not_fit_fails_cleanly(workspace, tmp_path, capsys, edit, message):
+    from zeroshap.checkpoint import load_checkpoint, save_checkpoint
+
+    root, config = workspace
+    arrays, ckpt_config, metadata = load_checkpoint(root / "out" / "explainer.ckpt")
+    edit(arrays, ckpt_config)
+    ckpt = tmp_path / "edited.ckpt"
+    save_checkpoint(ckpt, "explainer", arrays, config=ckpt_config, metadata=metadata)
+    csv_in = tmp_path / "query.csv"
+    _write_query_csv(csv_in)
+    code = cli.main(["explain", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--input", str(csv_in), "--output", str(tmp_path / "attr.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_validate_reports_malformed_sidecar(workspace, tmp_path, capsys):
+    root, _ = workspace
+    copy = tmp_path / "pool_copy"
+    copy.mkdir()
+    for f in (root / "pool").iterdir():
+        (copy / f.name).write_bytes(f.read_bytes())
+    (copy / "2.json").write_text("[]")
+    assert cli.main(["validate", "--pool", str(copy)]) == 1
+    assert "[FAIL] triplet 2: pool entry 2: sidecar is not a JSON object" in capsys.readouterr().out

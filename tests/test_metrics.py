@@ -10,7 +10,6 @@ from zeroshap.dag_recovery import (
     dag_recovery,
     graph_edit_distance,
     induced_feature_edges,
-    percentile_edges,
     top_edges,
 )
 from zeroshap import metrics as mt
@@ -142,13 +141,6 @@ def test_induced_feature_edges():
 def test_top_edges_deterministic():
     W = np.array([[0.0, 0.9], [0.9, 0.0]])
     assert top_edges(W, 1) == [(0, 1)]  # tie broken toward lower (k, j)
-
-
-def test_percentile_edges():
-    W = np.array([[0.0, 0.1, 0.9], [0.2, 0.0, 0.3], [0.8, 0.4, 0.0]])
-    kept = percentile_edges(W, 75.0)
-    assert (0, 2) in kept and (2, 0) in kept
-    assert len(kept) <= 3
 
 
 def test_recovered_edges_match_true_when_weights_perfect():

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zeroshap import pool as pl
 from zeroshap.base_models import MlpConfig
@@ -46,14 +47,14 @@ def test_pool_roundtrip_bit_exact(tmp_path):
 def test_pool_single_file_sample_identity(tmp_path):
     t = _random_triplet(np.random.default_rng(2))
     pl.pool_write(tmp_path, "solo", t)
-    sampled = pl.pool_sample(tmp_path, np.random.default_rng(0))
+    sampled = pl.make_pool_sampler(tmp_path, np.random.default_rng(0))()
     assert np.array_equal(sampled.phi, t.phi)
 
 
 def test_pool_empty_times_out(tmp_path):
     start = time.monotonic()
     with pytest.raises(TimeoutError):
-        pl.pool_sample(tmp_path, np.random.default_rng(0), timeout=0.3)
+        pl.make_pool_sampler(tmp_path, np.random.default_rng(0), timeout=0.3)()
     assert time.monotonic() - start >= 0.3
 
 
@@ -62,11 +63,80 @@ def test_pool_corrupted_entry_skipped(tmp_path):
     pl.pool_write(tmp_path, "good", good)
     (tmp_path / "bad.bin").write_bytes(b"\x00" * 10)
     (tmp_path / "bad.json").write_text(json.dumps({"format_version": 1, "n": 8, "m": 3, "provenance": {}}))
-    rng = np.random.default_rng(5)
+    sampler = pl.make_pool_sampler(tmp_path, np.random.default_rng(5))
     with pytest.warns(UserWarning, match="corrupted"):
-        results = [pl.pool_sample(tmp_path, rng) for _ in range(10)]
+        results = [sampler() for _ in range(10)]
     for r in results:
         assert np.array_equal(r.phi, good.phi)
+
+
+@pytest.mark.parametrize("sidecar, payload", [
+    ('{"format_version":1,"n":"6","m":3,"provenance":{}}', bytes(16)),
+    ('[1, 2, 3]', bytes(16)),
+    ('{"format_version":1,"n":8,"m":3}', bytes(16)),
+    ('{"format_version":1,"n":-8,"m":-3,"provenance":{}}', bytes(16)),
+    ('{"format_version":1,"n":true,"m":3,"provenance":{}}', bytes(16)),
+    ('{"format_version":1,"n":8,', bytes(16)),
+    # n = m = 1: X, y_hat, phi and the base value
+    ('{"format_version":1,"n":1,"m":1,"provenance":{}}', np.array([np.nan, 0.5, 0.0, 0.5], "<f8").tobytes()),
+], ids=["string-n", "json-list", "no-provenance", "negative-shape", "boolean-n", "cut-json", "nan-value"])
+def test_sampler_skips_unreadable_entries(tmp_path, sidecar, payload):
+    good = _random_triplet(np.random.default_rng(3))
+    pl.pool_write(tmp_path, "good", good)
+    (tmp_path / "bad.bin").write_bytes(payload)
+    (tmp_path / "bad.json").write_text(sidecar)
+    with pytest.raises(pl.PoolError):
+        pl.pool_read(tmp_path, "bad")
+    sampler = pl.make_pool_sampler(tmp_path, np.random.default_rng(5))
+    with pytest.warns(UserWarning, match="skipping corrupted pool entry bad"):
+        results = [sampler() for _ in range(10)]
+    assert all(np.array_equal(r.phi, good.phi) for r in results)
+
+
+def test_sampler_raises_pool_error_when_nothing_is_readable(tmp_path):
+    (tmp_path / "0.json").write_text("[]")
+    sampler = pl.make_pool_sampler(tmp_path, np.random.default_rng(0))
+    with pytest.warns(UserWarning), pytest.raises(pl.PoolError, match="all 1 pool entries"):
+        sampler()
+
+
+def test_pool_read_missing_bin_raises_pool_error(tmp_path):
+    pl.pool_write(tmp_path, 0, _random_triplet(np.random.default_rng(4)))
+    (tmp_path / "0.bin").unlink()
+    with pytest.raises(pl.PoolError, match="0.bin"):
+        pl.pool_read(tmp_path, 0)
+
+
+_ENTRY = _random_triplet(np.random.default_rng(12), n=6, m=3)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damages=st.lists(st.tuples(st.sampled_from(["bin", "json"]), st.sampled_from(["cut", "flip"]),
+                                  st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7)),
+                        min_size=1, max_size=3))
+def test_damaged_entry_reads_or_raises_pool_error(tmp_path, damages):
+    """Truncated or bit-flipped pool files give PoolError and nothing else."""
+    pl.pool_write(tmp_path, 0, _ENTRY)
+    files = {"bin": bytearray((tmp_path / "0.bin").read_bytes()),
+             "json": bytearray((tmp_path / "0.json").read_bytes())}
+    for which, how, where, bit in damages:
+        raw = files[which]
+        if not raw:
+            continue
+        pos = int(where * len(raw))
+        if how == "cut":
+            del raw[pos:]
+        else:
+            raw[pos] ^= 1 << bit
+    for which, raw in files.items():
+        (tmp_path / f"0.{which}").write_bytes(bytes(raw))
+    try:
+        triplet = pl.pool_read(tmp_path, 0)
+    except pl.PoolError:
+        return
+    assert triplet.X.shape == triplet.phi.shape == (triplet.n, triplet.m)
+    assert triplet.y_hat.shape == (triplet.n,)
+    assert np.isfinite(triplet.X).all() and np.isfinite(triplet.phi).all()
 
 
 def test_pool_version_mismatch_rejected(tmp_path):
@@ -75,7 +145,7 @@ def test_pool_version_mismatch_rejected(tmp_path):
     header = json.loads((tmp_path / "0.json").read_text())
     header["format_version"] = 99
     (tmp_path / "0.json").write_text(json.dumps(header))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(pl.PoolError, match="version"):
         pl.pool_read(tmp_path, 0)
 
 
@@ -94,10 +164,10 @@ def test_concurrent_writer_and_sampler(tmp_path):
             i += 1
 
     def sampler():
-        rng = np.random.default_rng(11)
+        draw = pl.make_pool_sampler(tmp_path, np.random.default_rng(11), timeout=5.0)
         while not stop.is_set():
             try:
-                t = pl.pool_sample(tmp_path, rng, timeout=5.0)
+                t = draw()
                 t.validate(efficiency_tol=1e-9)
                 counts["sampled"] += 1
             except Exception as exc:  # noqa: BLE001 - anything here is a real failure
