@@ -1,19 +1,22 @@
 """Dense float64 tensor kernel with reverse-mode automatic differentiation.
 
-Small closed primitive set (matmul, add, multiply, relu, tanh, softmax,
-layer norm, embedding lookup, reduce-mean, log) plus the structural ops
-(reshape, transpose) needed to express multi-head attention. Everything
-else is composed from these. Single-threaded per graph; graphs on
-distinct threads share no mutable state but the node-uid source, an
+The explainer's training graph is built from it. Small closed primitive set
+(matmul of operands with two or more axes, add, multiply, relu, tanh,
+softmax, layer norm, embedding lookup, reduce-mean, log) plus the
+structural ops (reshape, transpose) needed to express multi-head attention.
+Everything else is composed from these. Single-threaded per graph; graphs
+on distinct threads share no mutable state but the node-uid source, an
 ``itertools.count`` whose ``next`` is atomic in CPython, so uids stay
 unique across threads.
+
+Also the one Adam step, over the flat parameter buffer of every trained
+model, and the finite-difference gradient check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,27 +54,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(op={self._op}, shape={self.shape}, grad={self.requires_grad})"
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(other, self)
-
-    def __sub__(self, other):
-        return add(self, multiply(other, -1.0))
-
-    def __neg__(self):
-        return multiply(self, -1.0)
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
@@ -132,33 +114,17 @@ def _accum(t: Tensor, grad: np.ndarray) -> None:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of operands with at least two axes; leading axes broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 1 or b.data.ndim < 1 or a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out_data = a.data @ b.data
 
     def backward(grad):
-        ad, bd = a.data, b.data
         if a.requires_grad or a._parents:
-            if ad.ndim == 1 and bd.ndim == 1:
-                ga = grad * bd
-            elif bd.ndim == 1:
-                ga = np.multiply.outer(grad, bd)
-            elif ad.ndim == 1:
-                ga = grad @ np.swapaxes(bd, -1, -2)
-            else:
-                ga = grad @ np.swapaxes(bd, -1, -2)
-            _accum(a, _unbroadcast(ga, a.shape))
+            _accum(a, _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad or b._parents:
-            if ad.ndim == 1 and bd.ndim == 1:
-                gb = grad * ad
-            elif ad.ndim == 1:
-                gb = ad[:, None] * grad[..., None, :]
-            elif bd.ndim == 1:
-                gb = np.swapaxes(ad, -1, -2) @ grad
-            else:
-                gb = np.swapaxes(ad, -1, -2) @ grad
-            _accum(b, _unbroadcast(gb, b.shape))
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=backward if _needs_grad(a, b) else None, _op="matmul")
 
@@ -324,47 +290,56 @@ def clamp_min(x, floor: float) -> Tensor:
 
 # ---- optimizer ----
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-@dataclass
+
+def flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive C-ordered views into one flat buffer, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 class AdamState:
-    """First/second moment buffers keyed like the parameter dict."""
+    """Adam's moment estimates for one flat parameter buffer, and the work space of its update."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.scratch = np.empty((2, size))
+        self.t = 0
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
-    """One Adam update with bias correction, in place."""
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam update with bias correction of the flat buffer ``theta``, in place.
+
+    Computes ``theta -= lr * mhat / (sqrt(vhat) + EPS)`` elementwise, in that
+    order of rounding. Every operation writes into ``state``'s buffers, so a
+    step allocates nothing the size of ``theta``; ``grad`` is only read.
+    """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    b1, b2 = betas
     state.t += 1
-    t = state.t
-    for name in sorted(params):
-        p = params[name]
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: gradient shape {g.shape} does not match param '{name}' {p.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        mhat = m / (1.0 - b1**t)
-        vhat = v / (1.0 - b2**t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+    m, v, (num, den) = state.m, state.v, state.scratch
+    m *= BETA1
+    np.multiply(grad, 1.0 - BETA1, out=num)
+    m += num
+    v *= BETA2
+    np.multiply(grad, grad, out=den)
+    den *= 1.0 - BETA2
+    v += den
+    np.divide(m, 1.0 - BETA1**state.t, out=num)
+    num *= lr
+    np.divide(v, 1.0 - BETA2**state.t, out=den)
+    np.sqrt(den, out=den)
+    den += EPS
+    num /= den
+    theta -= num
 
 
 # ---- gradient verification ----

@@ -1,9 +1,10 @@
 """Base predictors used to label synthetic tasks and to serve as evaluation targets.
 
-The MLP classifier is fitted with a hand-written numpy forward/backward pass
-and the autodiff kernel's Adam step; the random forest is a bagged ensemble of
-Gini CART trees. Both predict class-1 probabilities; attribution ground truth
-is computed on the probability output.
+The MLP classifier is fitted by this module's one numpy MLP fit, which the
+few-shot MLP-regressor surrogate shares: a hand-written forward/backward
+pass and the flat-buffer Adam step of ``autodiff``. The random forest is a
+bagged ensemble of Gini CART trees. Both predict class-1 probabilities;
+attribution ground truth is computed on the probability output.
 
 This module is the one home of CART: one builder with per-split feature
 subsampling and two split costs, Gini for the forest classifier and summed
@@ -80,13 +81,13 @@ class MlpModel:
         return 1.0 / (1.0 + np.exp(-logits))
 
 
-def _init_mlp(n_features: int, hidden_sizes: tuple[int, ...], rng) -> tuple[list, list]:
-    sizes = [n_features, *hidden_sizes, 1]
+def _init_mlp(n_features: int, hidden_sizes: tuple[int, ...], n_out: int, rng) -> tuple[list, list]:
+    """He-initialised ReLU layers and a zero readout of width ``n_out``: outputs start at 0."""
+    sizes = [n_features, *hidden_sizes, n_out]
     weights, biases = [], []
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
         if i == len(sizes) - 2:
-            # zero-init readout: predictions start at exactly 0.5
             weights.append(np.zeros((fan_in, fan_out)))
         else:
             weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
@@ -94,28 +95,53 @@ def _init_mlp(n_features: int, hidden_sizes: tuple[int, ...], rng) -> tuple[list
     return weights, biases
 
 
-def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive C-ordered views into one flat buffer, one per shape."""
-    views, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    return views
+def _fit_mlp(X: np.ndarray, hidden_sizes: tuple[int, ...], n_out: int, epochs: int, rng,
+             readout_grad, lr) -> tuple[list, list]:
+    """Full-batch Adam over a ReLU MLP in plain numpy; returns (weights, biases).
+
+    They are views into one flat parameter buffer. Each epoch
+    ``readout_grad(out, t)`` maps the (n, n_out) readout to d loss / d out,
+    and ``lr(t)`` gives the learning rate. The backward pass replays the
+    autodiff graph's rounding, layer by layer.
+    """
+    # C order fixes the BLAS path of X.T @ g, and with it the rounding
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    weights, biases = _init_mlp(X.shape[1], hidden_sizes, n_out, rng)
+    n_layers = len(weights)
+    shapes = [a.shape for a in weights + biases]
+    theta = np.concatenate([a.ravel() for a in weights + biases])
+    grad = np.empty_like(theta)
+    views, grad_views = ad.flat_views(theta, shapes), ad.flat_views(grad, shapes)
+    Ws, bs = views[:n_layers], views[n_layers:]
+    gWs, gbs = grad_views[:n_layers], grad_views[n_layers:]
+    state = ad.AdamState(theta.size)
+    for t in range(epochs):
+        hs, pre = [X], []
+        for W, b in zip(Ws[:-1], bs[:-1]):
+            pre.append(hs[-1] @ W + b)
+            hs.append(np.maximum(pre[-1], 0.0))
+        g = readout_grad(hs[-1] @ Ws[-1] + bs[-1], t)
+        for i in range(n_layers - 1, -1, -1):
+            gbs[i][...] = g.sum(axis=0)
+            gWs[i][...] = hs[i].T @ g
+            if i:
+                g = (g @ Ws[i].T) * (pre[i - 1] > 0.0)
+        ad.adam_step(theta, grad, state, lr(t))
+    return Ws, bs
 
 
 def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> MlpModel:
     """Full-batch Adam with lr decay lr0 / sqrt(t + 1) on binary cross-entropy.
 
-    Forward and backward passes are plain numpy. They replay, op for op, the
-    autodiff graph of ``-mean(y log p + (1 - y) log q)`` with the tanh-form
-    sigmoid and ``p``, ``q = 1 - p`` clamped to at least 1e-12, so the fit is
-    bit-identical to one driven through ``autodiff`` (``tests/oracles.py``).
-    Raises RuntimeError if the loss turns non-finite.
+    Forward and backward passes are plain numpy (``_fit_mlp``). They replay,
+    op for op, the autodiff graph of ``-mean(y log p + (1 - y) log q)`` with
+    the tanh-form sigmoid and ``p``, ``q = 1 - p`` clamped to at least
+    1e-12, so the fit is bit-identical to one driven through ``autodiff``
+    (``tests/oracles.py``). The readout starts at zero, so predictions start
+    at exactly 0.5. Raises RuntimeError if the loss turns non-finite.
     """
     cfg = cfg or MlpConfig()
-    # C order fixes the BLAS path of X.T @ g, and with it the rounding
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] < 16:
         raise ValueError("need at least 16 training rows")
@@ -123,32 +149,14 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
     if not np.array_equal(classes, [0.0, 1.0]):
         raise ValueError("labels must be binary with both classes present")
 
-    rng = np.random.default_rng(cfg.seed)
-    weights, biases = _init_mlp(X.shape[1], cfg.hidden_sizes, rng)
-    n_layers = len(weights)
-    shapes = [w.shape for w in weights] + [b.shape for b in biases]
-    # one flat parameter buffer and one flat gradient buffer, so Adam is a
-    # single elementwise update per epoch
-    theta = np.concatenate([a.ravel() for a in weights + biases])
-    grad = np.empty_like(theta)
-    params_views, grad_views = _views(theta, shapes), _views(grad, shapes)
-    Ws, bs = params_views[:n_layers], params_views[n_layers:]
-    gWs, gbs = grad_views[:n_layers], grad_views[n_layers:]
-    params = {"theta": ad.Tensor(theta, requires_grad=True)}
-    grads = {"theta": grad}
-
     yy = y.reshape(-1, 1)
     not_yy = 1.0 - yy
     g_term = -1.0 / X.shape[0]  # d loss / d term for loss = -mean(term)
     g_log_p, g_log_q = g_term * yy, g_term * not_yy
-    state = ad.AdamState()
     losses = np.empty(cfg.epochs)
-    for t in range(cfg.epochs):
-        hs, pre = [X], []
-        for W, b in zip(Ws[:-1], bs[:-1]):
-            pre.append(hs[-1] @ W + b)
-            hs.append(np.maximum(pre[-1], 0.0))
-        s = np.tanh((hs[-1] @ Ws[-1] + bs[-1]) * 0.5)
+
+    def bce_grad(logits, t):
+        s = np.tanh(logits * 0.5)
         p_raw = (s + 1.0) * 0.5
         p_shift = p_raw + -1e-12
         q_shift = (p_raw * -1.0 + 1.0) + -1e-12
@@ -156,21 +164,17 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
         q = np.maximum(q_shift, 0.0) + 1e-12
         value = ((np.log(p) * yy + np.log(q) * not_yy).mean() * -1.0).item()
         if not np.isfinite(value):
-            last_good = t - 1
-            raise RuntimeError(f"training diverged at epoch {t} (last good epoch {last_good})")
+            raise RuntimeError(f"training diverged at epoch {t} (last good epoch {t - 1})")
         losses[t] = value
-
         # backward, in the graph's order of rounding: log, clamp masks, the sum
-        # of the p and q paths, sigmoid, then each affine layer
+        # of the p and q paths, then the sigmoid
         g_p_raw = (g_log_p / p) * (p_shift > 0.0) + ((g_log_q / q) * (q_shift > 0.0)) * -1.0
-        g = ((g_p_raw * 0.5) * (1.0 - s * s)) * 0.5
-        for i in range(n_layers - 1, -1, -1):
-            gbs[i][...] = g.sum(axis=0)
-            gWs[i][...] = hs[i].T @ g
-            if i:
-                g = (g @ Ws[i].T) * (pre[i - 1] > 0.0)
-        ad.adam_step(params, grads, state, lr=cfg.lr0 / math.sqrt(t + 1))
-    return MlpModel(weights=Ws, biases=bs, config=cfg, train_losses=losses)
+        return ((g_p_raw * 0.5) * (1.0 - s * s)) * 0.5
+
+    rng = np.random.default_rng(cfg.seed)
+    weights, biases = _fit_mlp(X, cfg.hidden_sizes, 1, cfg.epochs, rng, bce_grad,
+                               lambda t: cfg.lr0 / math.sqrt(t + 1))
+    return MlpModel(weights=weights, biases=biases, config=cfg, train_losses=losses)
 
 
 def predict(model, X: np.ndarray) -> np.ndarray:

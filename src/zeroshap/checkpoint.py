@@ -61,8 +61,11 @@ def save_checkpoint(path, kind: str, arrays: dict[str, np.ndarray],
 
 
 def load_checkpoint(path, expected_kind: str | None = None):
-    """Return (arrays, config, metadata); raises CheckpointError on bad files."""
-    raw = Path(path).read_bytes()
+    """Return (arrays, config, metadata); raises CheckpointError on bad or unreadable files."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror})") from exc
     if len(raw) < len(MAGIC) + 8 or raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     (header_len,) = struct.unpack("<Q", raw[len(MAGIC) : len(MAGIC) + 8])

@@ -44,13 +44,15 @@ def _fmt(value: float) -> str:
 
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     """Header and a finite (rows, len(header)) matrix; raises InputError otherwise."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
             rows = [[float(tok) for tok in row] for row in reader if row]
-        except ValueError as exc:
-            raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read ({exc})") from exc
+    except ValueError as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: no data rows below the header")
     if any(len(row) != len(header) for row in rows):
@@ -84,6 +86,14 @@ def _load_run_config(args) -> RunConfig:
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     return RunConfig.load(args.config, overrides)
+
+
+def _load_explainer(args, cfg: RunConfig):
+    """The ``--checkpoint`` explainer, by default the one ``train`` writes to the output directory."""
+    checkpoint = Path(args.checkpoint or cfg.output_dir / "explainer.ckpt")
+    if not checkpoint.exists():
+        raise CheckpointError(f"checkpoint {checkpoint} not found; run 'zeroshap train' first")
+    return load_weights(checkpoint)
 
 
 def _attribution_header(m: int) -> list[str]:
@@ -133,11 +143,7 @@ def cmd_train(args) -> int:
 
 def cmd_explain(args) -> int:
     cfg = _load_run_config(args)
-    checkpoint = Path(args.checkpoint or cfg.output_dir / "explainer.ckpt")
-    if not checkpoint.exists():
-        print(f"error: checkpoint {checkpoint} not found; run 'zeroshap train' first", file=sys.stderr)
-        return 2
-    weights = load_weights(checkpoint)
+    weights = _load_explainer(args, cfg)
     header, data = read_csv_matrix(args.input)
     pred_col = args.prediction_column or cfg.get("explain.prediction_column")
     if pred_col not in header:
@@ -205,11 +211,7 @@ def _eval_base_model(kind: str, X, y, cfg: RunConfig, seed: int):
 
 def cmd_benchmark(args) -> int:
     cfg = _load_run_config(args)
-    checkpoint = Path(args.checkpoint or cfg.output_dir / "explainer.ckpt")
-    if not checkpoint.exists():
-        print(f"error: checkpoint {checkpoint} not found; run 'zeroshap train' first", file=sys.stderr)
-        return 2
-    weights = load_weights(checkpoint)
+    weights = _load_explainer(args, cfg)
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     n_tasks = cfg.get_int("benchmark.n_tasks")
@@ -316,11 +318,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_dag_recover(args) -> int:
     cfg = _load_run_config(args)
-    checkpoint = Path(args.checkpoint or cfg.output_dir / "explainer.ckpt")
-    if not checkpoint.exists():
-        print(f"error: checkpoint {checkpoint} not found; run 'zeroshap train' first", file=sys.stderr)
-        return 2
-    weights = load_weights(checkpoint)
+    weights = _load_explainer(args, cfg)
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     budgets = cfg.get_int_list("dag.edge_budgets")
@@ -488,7 +486,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, CheckpointError, PoolError) as exc:
+    except (InputError, CheckpointError, PoolError, OSError) as exc:
+        # an OSError that no reader turned into its own type: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

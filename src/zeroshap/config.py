@@ -86,7 +86,11 @@ class RunConfig:
     def load(cls, path: str | None = None, overrides: dict[str, str] | None = None) -> "RunConfig":
         values = dict(DEFAULTS)
         if path is not None:
-            file_values = parse_config_text(Path(path).read_text())
+            try:
+                text = Path(path).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{path}: cannot read ({exc})") from exc
+            file_values = parse_config_text(text)
             unknown = set(file_values) - set(DEFAULTS)
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -108,21 +112,31 @@ class RunConfig:
         except KeyError as exc:
             raise ConfigError(f"missing config key {key!r}") from exc
 
+    def _parse(self, key: str, parse):
+        value = self.get(key)
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {value!r} does not parse ({exc})") from exc
+
     def get_int(self, key: str) -> int:
-        return int(self.get(key))
+        return self._parse(key, int)
 
     def get_float(self, key: str) -> float:
-        return float(self.get(key))
+        return self._parse(key, float)
 
     def get_bool(self, key: str) -> bool:
         return self.get(key).lower() in ("1", "true", "yes", "on")
 
     def get_range(self, key: str) -> tuple[int, int]:
-        lo, _, hi = self.get(key).partition(":")
-        return int(lo), int(hi)
+        def parse(value):
+            lo, _, hi = value.partition(":")
+            return int(lo), int(hi)
+
+        return self._parse(key, parse)
 
     def get_int_list(self, key: str) -> list[int]:
-        return [int(tok) for tok in self.get(key).split(",") if tok.strip()]
+        return self._parse(key, lambda value: [int(tok) for tok in value.split(",") if tok.strip()])
 
     def get_str_list(self, key: str) -> list[str]:
         return [tok.strip() for tok in self.get(key).split(",") if tok.strip()]
@@ -152,9 +166,8 @@ class RunConfig:
         )
 
     def mlp_config(self, epochs_key: str = "base.epochs") -> MlpConfig:
-        hidden = tuple(int(tok) for tok in self.get("base.hidden_sizes").split(",") if tok.strip())
         return MlpConfig(
-            hidden_sizes=hidden,
+            hidden_sizes=tuple(self.get_int_list("base.hidden_sizes")),
             epochs=self.get_int(epochs_key),
             lr0=self.get_float("base.lr0"),
         )

@@ -9,9 +9,10 @@ cross-row position encoding; attributions are read out per feature as the
 expectation of a softmax distribution over standardized-value buckets.
 Ground-truth attributions are never part of the input.
 
-Training runs on the autodiff graph. Serving builds no graph: ``forward``
-replays the graph's arithmetic in plain numpy over the weight arrays, op by
-op, so its output is bit-equal to the graph's.
+Training runs on the autodiff graph, over views of one flat weight buffer.
+Serving builds no graph: ``forward`` replays the graph's arithmetic in plain
+numpy over the weight arrays, op by op, so its output is bit-equal to the
+graph's.
 """
 
 from __future__ import annotations
@@ -161,7 +162,9 @@ def _param_specs(config: ExplainerConfig) -> list[tuple[str, tuple[int, ...], st
     return specs
 
 
-def init_params(config: ExplainerConfig, rng: np.random.Generator) -> dict[str, ad.Tensor]:
+def init_params(config: ExplainerConfig,
+                rng: np.random.Generator) -> tuple[np.ndarray, dict[str, ad.Tensor]]:
+    """Freshly drawn weights as one flat buffer, and a Tensor per parameter over its view into it."""
     def init(shape, kind):
         if kind == "xavier":
             return ad.xavier_init(rng, *shape)
@@ -169,8 +172,10 @@ def init_params(config: ExplainerConfig, rng: np.random.Generator) -> dict[str, 
             return rng.normal(0.0, 0.02, size=shape)
         return np.ones(shape) if kind == "ones" else np.zeros(shape)
 
-    return {name: ad.Tensor(init(shape, kind), requires_grad=True)
-            for name, shape, kind in _param_specs(config)}
+    specs = _param_specs(config)
+    theta = np.concatenate([init(shape, kind).ravel() for _, shape, kind in specs])
+    views = ad.flat_views(theta, [shape for _, shape, _ in specs])
+    return theta, {name: ad.Tensor(view, requires_grad=True) for (name, _, _), view in zip(specs, views)}
 
 
 def _ln_affine(x, gain, bias):
@@ -344,26 +349,23 @@ def _training_loss_graph(params, slots, n_active, targets, config) -> ad.Tensor:
     return ad.multiply(ad.reduce_mean(ad.log(ad.clamp_min(picked, 1e-12))), -1.0)
 
 
-def _task_step_loss(params, triplet, config, update: bool, state, lr) -> float:
-    """One task: forward/backward per feature, gradients averaged across features."""
+def _task_step_loss(params, triplet, config, grads=None) -> float:
+    """Mean NLPD over one task's features. With ``grads`` (flat-buffer views in ``params``
+    order), also sums each feature's backward sweep into them, feature 0 first."""
     phi_std, _ = standardize_targets(triplet.phi)
     m = triplet.m
-    grad_acc: dict[str, np.ndarray] = {}
     total = 0.0
     for j in range(m):
         slots = encode_rows(triplet.X, triplet.y_hat, j, config)
         loss = _training_loss_graph(params, slots, m + 1, phi_std[:, j], config)
         total += loss.item()
-        if update:
+        if grads is not None:
             loss.backward()
-            for name, p in params.items():
-                if name in grad_acc:
-                    grad_acc[name] += p.grad
+            for g, p in zip(grads, params.values()):
+                if j:
+                    g += p.grad
                 else:
-                    grad_acc[name] = p.grad.copy()
-    if update:
-        grads = {name: g / m for name, g in grad_acc.items()}
-        ad.adam_step(params, grads, state, lr=lr)
+                    g[...] = p.grad
     return total / m
 
 
@@ -372,9 +374,11 @@ def train(pool_sampler, config: ExplainerConfig | None = None,
     """Cosine-annealed Adam over pool draws; best of ``restarts`` lr samples wins.
 
     Each restart draws its peak learning rate log-uniformly from the
-    configured range and anneals it to zero over the step budget. The restart
-    with the lowest final smoothed NLPD is returned; restarts that go
-    non-finite are dropped.
+    configured range and anneals it to zero over the step budget. A step sums
+    the task's per-feature gradients into one flat gradient buffer, divides
+    it by the feature count and makes one ``ad.adam_step``. The restart with
+    the lowest final smoothed NLPD is returned; restarts that go non-finite
+    are dropped.
     """
     config = config or ExplainerConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -382,21 +386,24 @@ def train(pool_sampler, config: ExplainerConfig | None = None,
     history = []
     for restart in range(max(1, config.restarts)):
         peak_lr = 10 ** rng.uniform(math.log10(config.lr_low), math.log10(config.lr_high))
-        params = init_params(config, rng)
+        theta, params = init_params(config, rng)
         if config.train_steps == 0:
-            triplet = pool_sampler()
-            loss = _task_step_loss(params, triplet, config, update=False, state=None, lr=None)
+            loss = _task_step_loss(params, pool_sampler(), config)
             return ExplainerWeights(params, config, metadata={
                 "steps": 0, "final_loss": loss, "initial_loss": loss, "peak_lr": peak_lr,
             })
-        state = ad.AdamState()
+        grad = np.empty_like(theta)
+        grads = ad.flat_views(grad, [p.shape for p in params.values()])
+        state = ad.AdamState(theta.size)
         smoothed = None
         initial = None
         try:
             for step in range(config.train_steps):
                 lr = peak_lr * 0.5 * (1.0 + math.cos(math.pi * step / config.train_steps))
                 triplet = pool_sampler()
-                loss = _task_step_loss(params, triplet, config, update=True, state=state, lr=lr)
+                loss = _task_step_loss(params, triplet, config, grads)
+                grad /= triplet.m
+                ad.adam_step(theta, grad, state, lr)
                 if not np.isfinite(loss):
                     raise FloatingPointError(f"non-finite loss at step {step}")
                 smoothed = loss if smoothed is None else 0.98 * smoothed + 0.02 * loss

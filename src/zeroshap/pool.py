@@ -9,6 +9,7 @@ committed entry; writers and samplers may run concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -308,16 +309,12 @@ def generate_pool(pool_dir, n_tasks: int, master_seed: int,
     pool_dir = Path(pool_dir)
     pool_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(str(pool_dir), master_seed, i, cfg) for i in range(n_tasks)]
+    parallel = workers > 1 and n_tasks > 1
     done: list[str] = []
-    if workers > 1 and n_tasks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for task_id in ex.map(_entry_worker, jobs, chunksize=4):
-                done.append(task_id)
-                if progress and len(done) % 100 == 0:
-                    print(f"pool: {len(done)}/{n_tasks} tasks written", flush=True)
-    else:
-        for job in jobs:
-            done.append(_entry_worker(job))
+    with ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext() as ex:
+        entries = ex.map(_entry_worker, jobs, chunksize=4) if parallel else map(_entry_worker, jobs)
+        for task_id in entries:
+            done.append(task_id)
             if progress and len(done) % 100 == 0:
                 print(f"pool: {len(done)}/{n_tasks} tasks written", flush=True)
     return done

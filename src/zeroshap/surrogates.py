@@ -3,20 +3,20 @@
 Each surrogate is a joint multi-output regression from (x, y_hat) to the
 full attribution vector; with k <= 10 supervision rows, per-feature models
 would be under-determined. Surrogates never see the base model, only the
-reference triplets and query (X, Y_hat) pairs. The forest regressor keeps no
-tree code of its own: its trees are ``base_models`` CART trees grown on the
-variance split cost.
+reference triplets and query (X, Y_hat) pairs. Neither fitted surrogate keeps
+training code of its own: the MLP regressor is fitted by the numpy MLP fit of
+``base_models`` on a squared-error readout gradient, and the forest
+regressor's trees are ``base_models`` CART trees grown on the variance split
+cost.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .base_models import _fit_tree, _variance_best_split
+from .base_models import _fit_mlp, _fit_tree, _variance_best_split
 
 KNN_MAX_NEIGHBORS = 3
 MLP_HIDDEN = 32
@@ -118,25 +118,22 @@ def _predict_knn(state, Z: np.ndarray) -> np.ndarray:
 
 
 def _fit_mlp_regressor(refs: ReferenceSet, rng) -> dict:
+    """One hidden layer fitted on the mean squared error through ``base_models._fit_mlp``.
+
+    The readout gradient replays the autodiff graph of
+    ``mean((pred + Y * -1) * (pred + Y * -1))``: both factors of the square
+    pass back ``g * diff``, and the two are summed.
+    """
     Z = refs.inputs()
-    Y = refs.phi
-    d_in, d_out = Z.shape[1], Y.shape[1]
-    params = {
-        "w1": ad.Tensor(rng.normal(0, math.sqrt(2.0 / d_in), size=(d_in, MLP_HIDDEN)), requires_grad=True),
-        "b1": ad.Tensor(np.zeros(MLP_HIDDEN), requires_grad=True),
-        "w2": ad.Tensor(np.zeros((MLP_HIDDEN, d_out)), requires_grad=True),
-        "b2": ad.Tensor(np.zeros(d_out), requires_grad=True),
-    }
-    state = ad.AdamState()
-    zt = ad.Tensor(Z)
-    for _ in range(MLP_EPOCHS):
-        h = ad.relu(ad.add(ad.matmul(zt, params["w1"]), params["b1"]))
-        pred = ad.add(ad.matmul(h, params["w2"]), params["b2"])
-        diff = ad.add(pred, ad.multiply(ad.Tensor(Y), -1.0))
-        loss = ad.reduce_mean(ad.multiply(diff, diff))
-        loss.backward()
-        ad.adam_step(params, {k: p.grad for k, p in params.items()}, state, lr=MLP_LR)
-    return {name: p.data for name, p in params.items()}
+    neg_Y = refs.phi * -1.0
+    g_sq = 1.0 / refs.phi.size  # d loss / d diff**2 for loss = mean(diff**2)
+
+    def mse_grad(pred, t):
+        g_diff = g_sq * (pred + neg_Y)
+        return g_diff + g_diff
+
+    (w1, w2), (b1, b2) = _fit_mlp(Z, (MLP_HIDDEN,), refs.m, MLP_EPOCHS, rng, mse_grad, lambda t: MLP_LR)
+    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
 
 def _predict_mlp(state, Z: np.ndarray) -> np.ndarray:

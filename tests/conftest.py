@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from zeroshap import autodiff as ad
 from zeroshap import base_models as bm
 
 
@@ -11,3 +13,17 @@ def random_mlp(m, seed, hidden=16):
         biases=[rng.normal(0, 0.3, size=hidden), rng.normal(0, 0.3, size=1)],
         config=bm.MlpConfig(hidden_sizes=(hidden,)),
     )
+
+
+@pytest.fixture
+def tensor_inits(monkeypatch):
+    """The arguments of every ``autodiff.Tensor`` constructed while the test runs."""
+    created = []
+    init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    return created

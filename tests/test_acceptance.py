@@ -191,7 +191,7 @@ def test_criterion_05_gradient_and_nlpd():
     cfg = ex.ExplainerConfig(embed_dim=8, n_layers=1, n_heads=2, n_buckets=4,
                              max_features=4, max_context_rows=64)
     rng = np.random.default_rng(5)
-    params = ex.init_params(cfg, np.random.default_rng(11))
+    _, params = ex.init_params(cfg, np.random.default_rng(11))
     params["head_w"].data = rng.normal(0, 0.4, size=params["head_w"].shape)
     params["head_b"].data = rng.normal(0, 0.2, size=params["head_b"].shape)
     X = rng.normal(size=(6, 2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import ReferenceAdamState, reference_adam_step
 from zeroshap import autodiff as ad
 
 
@@ -42,11 +43,16 @@ def test_backward_requires_scalar():
 def test_backward_mean_linear():
     rng = np.random.default_rng(1)
     W = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    x = ad.Tensor(rng.normal(size=3))
+    x = ad.Tensor(rng.normal(size=(1, 3)))
     loss = ad.reduce_mean(ad.matmul(x, W))
     loss.backward()
     expected = np.outer(x.data, np.ones(2)) / 2.0
     np.testing.assert_allclose(W.grad, expected, atol=1e-12)
+
+
+def test_matmul_rejects_one_axis_operands():
+    with pytest.raises(ad.ShapeError, match="matmul"):
+        ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones((3, 2))))
 
 
 def _mlp_loss(params):
@@ -120,37 +126,51 @@ def test_finite_difference_layer_norm_embedding():
 
 
 def test_adam_zero_gradient_fixed_point():
-    p = {"x": ad.Tensor(np.array([1.5, -2.0]), requires_grad=True)}
-    state = ad.AdamState()
-    before = p["x"].data.copy()
-    ad.adam_step(p, {"x": np.zeros(2)}, state, lr=0.1)
-    np.testing.assert_array_equal(p["x"].data, before)
+    theta = np.array([1.5, -2.0])
+    ad.adam_step(theta, np.zeros(2), ad.AdamState(2), lr=0.1)
+    np.testing.assert_array_equal(theta, [1.5, -2.0])
 
 
 def test_adam_first_step_magnitude():
-    p = {"x": ad.Tensor(np.array([0.0]), requires_grad=True)}
-    state = ad.AdamState()
-    ad.adam_step(p, {"x": np.array([2.5])}, state, lr=0.01)
+    theta = np.array([0.0])
+    ad.adam_step(theta, np.array([2.5]), ad.AdamState(1), lr=0.01)
     # bias-corrected first step moves by ~lr against the gradient sign
-    assert p["x"].data[0] == pytest.approx(-0.01, rel=1e-6)
+    assert theta[0] == pytest.approx(-0.01, rel=1e-6)
 
 
 def test_adam_rejects_nonpositive_lr():
-    p = {"x": ad.Tensor(np.array([0.0]), requires_grad=True)}
     with pytest.raises(ValueError, match="learning rate"):
-        ad.adam_step(p, {"x": np.zeros(1)}, ad.AdamState(), lr=0.0)
+        ad.adam_step(np.zeros(1), np.zeros(1), ad.AdamState(1), lr=0.0)
 
 
 def test_adam_minimizes_quadratic():
-    p = {"x": ad.Tensor(np.array([10.0]), requires_grad=True)}
-    state = ad.AdamState()
+    x = ad.Tensor(np.array([10.0]), requires_grad=True)
+    state = ad.AdamState(1)
     for _ in range(500):
-        x = p["x"]
         diff = ad.add(x, -2.0)
         loss = ad.reduce_mean(ad.multiply(diff, diff))
         loss.backward()
-        ad.adam_step(p, {"x": p["x"].grad}, state, lr=0.1)
-    assert abs(p["x"].data[0] - 2.0) < 1e-3
+        ad.adam_step(x.data, x.grad, state, lr=0.1)
+    assert abs(x.data[0] - 2.0) < 1e-3
+
+
+def test_flat_adam_equals_per_array_reference_adam():
+    rng = np.random.default_rng(4)
+    shapes = {"w": (5, 7), "b": (7,), "table": (3, 2, 4), "scalar": (1,)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    theta = np.concatenate([params[name].ravel() for name in shapes])
+    views = ad.flat_views(theta, list(shapes.values()))
+    state, ref_state = ad.AdamState(theta.size), ReferenceAdamState()
+    for step in range(50):
+        # gradients over many magnitudes, with exact zeros among them
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+                 * (rng.uniform(size=shape) > 0.1) for name, shape in shapes.items()}
+        grad = np.concatenate([grads[name].ravel() for name in shapes])
+        lr = 0.05 / (step + 1)
+        ad.adam_step(theta, grad, state, lr)
+        reference_adam_step(params, grads, ref_state, lr)
+        for name, view in zip(shapes, views):
+            assert np.array_equal(view, params[name]), (step, name)
 
 
 def test_forward_deterministic():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import autodiff_train_mlp
+from zeroshap import autodiff as ad
 from zeroshap import base_models as bm
 
 
@@ -83,6 +84,13 @@ def test_mlp_fit_bit_identical_to_autodiff_graph(n, m, fortran, cfg):
     for got, want in zip(model.weights + model.biases, reference.weights + reference.biases):
         assert np.array_equal(got, want)
     assert np.array_equal(model.train_losses, reference.train_losses)
+
+
+def test_mlp_fit_builds_no_graph(tensor_inits):
+    bm.train_mlp(*_noisy(32, 2, 7), bm.MlpConfig(hidden_sizes=(4, 3), epochs=5))
+    assert tensor_inits == []
+    ad.Tensor(np.zeros(1))
+    assert len(tensor_inits) == 1
 
 
 def test_mlp_nan_input_diverges_at_epoch_zero():

@@ -77,7 +77,7 @@ def _saved_models(path):
     X = rng.normal(size=(32, 2))
     y = (X[:, 0] > 0).astype(float)
     ex.save_weights(path / "explainer.ckpt",
-                    ex.ExplainerWeights(ex.init_params(_MICRO, rng), _MICRO, {"steps": 0}))
+                    ex.ExplainerWeights(ex.init_params(_MICRO, rng)[1], _MICRO, {"steps": 0}))
     bm.save_model(path / "mlp.ckpt", bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(3,), epochs=2)))
     bm.save_model(path / "forest.ckpt", bm.train_forest(X, y, bm.ForestConfig(n_estimators=2, max_depth=2)))
     Xq, yq = X[:6], rng.uniform(size=6)

@@ -337,3 +337,78 @@ def test_validate_reports_malformed_sidecar(workspace, tmp_path, capsys):
     (copy / "2.json").write_text("[]")
     assert cli.main(["validate", "--pool", str(copy)]) == 1
     assert "[FAIL] triplet 2: pool entry 2: sidecar is not a JSON object" in capsys.readouterr().out
+
+
+def _query_paths(tmp_path):
+    csv_in = tmp_path / "query.csv"
+    _write_query_csv(csv_in)
+    return csv_in, tmp_path / "attr.csv"
+
+
+def _fails_cleanly(code, capsys, *fragments):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(("error: ", "config error: ")) and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_explain_checkpoint_directory_fails_cleanly(workspace, tmp_path, capsys):
+    _, config = workspace
+    csv_in, csv_out = _query_paths(tmp_path)
+    code = cli.main(["explain", "--config", str(config), "--checkpoint", str(tmp_path),
+                     "--input", str(csv_in), "--output", str(csv_out)])
+    _fails_cleanly(code, capsys, "cannot read")
+    assert not csv_out.exists()
+
+
+@pytest.mark.parametrize("model", ["missing.ckpt", "."], ids=["missing", "directory"])
+def test_shap_unreadable_model_fails_cleanly(tmp_path, capsys, model):
+    csv_in, csv_out = _query_paths(tmp_path)
+    code = cli.main(["shap", "--model", str(tmp_path / model), "--input", str(csv_in),
+                     "--output", str(csv_out)])
+    _fails_cleanly(code, capsys, "cannot read")
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "explain", "shap", "benchmark", "dag-recover"])
+def test_missing_config_file_fails_cleanly(tmp_path, capsys, command):
+    extra = {"explain": ["--input", "in.csv", "--output", "out.csv"],
+             "shap": ["--model", "m.ckpt", "--input", "in.csv", "--output", "out.csv"]}
+    code = cli.main([command, "--config", str(tmp_path / "missing.cfg"), *extra.get(command, [])])
+    _fails_cleanly(code, capsys, "missing.cfg: cannot read")
+
+
+@pytest.mark.parametrize("override, key", [
+    ("pool.n_tasks=abc", "pool.n_tasks"),
+    ("gen.node_range=3-5", "gen.node_range"),
+    ("base.lr0=fast", "base.lr0"),
+    ("base.hidden_sizes=12,x", "base.hidden_sizes"),
+])
+def test_unparsable_config_value_names_its_key(tmp_path, capsys, override, key):
+    code = cli.main(["generate", "--pool", str(tmp_path / "pool"), "--set", override, "--quiet"])
+    _fails_cleanly(code, capsys, key)
+
+
+def test_explain_missing_input_fails_cleanly(workspace, tmp_path, capsys):
+    _, config = workspace
+    code = cli.main(["explain", "--config", str(config), "--input", str(tmp_path / "missing.csv"),
+                     "--output", str(tmp_path / "attr.csv")])
+    _fails_cleanly(code, capsys, "missing.csv: cannot read")
+
+
+def test_explain_non_utf8_input_fails_cleanly(workspace, tmp_path, capsys):
+    _, config = workspace
+    csv_in = tmp_path / "latin1.csv"
+    csv_in.write_bytes("x0,x1,pr\xe9diction\n0.1,0.2,0.5\n".encode("latin-1"))
+    code = cli.main(["explain", "--config", str(config), "--input", str(csv_in),
+                     "--output", str(tmp_path / "attr.csv")])
+    _fails_cleanly(code, capsys, "latin1.csv: cannot read", "can't decode byte 0xe9")
+
+
+def test_explain_unwritable_output_fails_cleanly(workspace, tmp_path, capsys):
+    _, config = workspace
+    csv_in, _ = _query_paths(tmp_path)
+    csv_out = tmp_path / "no-such-dir" / "attr.csv"
+    code = cli.main(["explain", "--config", str(config), "--input", str(csv_in),
+                     "--output", str(csv_out)])
+    _fails_cleanly(code, capsys, str(csv_out))

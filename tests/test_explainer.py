@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from oracles import reference_explainer_train
 from zeroshap import autodiff as ad
 from zeroshap import explainer as ex
 from zeroshap.pool import TrainingTriplet
@@ -12,7 +16,7 @@ MICRO = ex.ExplainerConfig(
 
 
 def small_weights(config=MICRO, seed=0, random_head=False):
-    params = ex.init_params(config, np.random.default_rng(seed))
+    _, params = ex.init_params(config, np.random.default_rng(seed))
     if random_head:
         rng = np.random.default_rng(seed + 1)
         params["head_w"].data = rng.normal(0, 0.4, size=params["head_w"].shape)
@@ -30,7 +34,7 @@ def default_weights(seed):
     """Default-size weights with every parameter moved off its initial value."""
     config = ex.ExplainerConfig()
     rng = np.random.default_rng(seed)
-    params = ex.init_params(config, rng)
+    _, params = ex.init_params(config, rng)
     for p in params.values():
         p.data = p.data + rng.normal(0.0, 0.1, size=p.shape)
     return ex.ExplainerWeights(params, config)
@@ -238,6 +242,27 @@ def test_training_deterministic():
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
 
 
+def test_training_equals_per_parameter_reference_loop():
+    """Flat gradient buffer and flat Adam against dict accumulation and per-array Adam."""
+    config = dataclasses.replace(MICRO, restarts=2)
+
+    def sampler(seed):
+        # tasks of 1 to 4 features, so the sum over features has up to three adds
+        rng = np.random.default_rng(seed)
+        triplets = []
+        for m in (1, 2, 3, 4, 3, 4):
+            X = rng.normal(size=(9, m))
+            phi = X * rng.normal(size=m) + 0.1 * rng.normal(size=(9, m))
+            triplets.append(TrainingTriplet(X=X, y_hat=0.5 + phi.sum(axis=1), phi=phi, base_value=0.5))
+        return itertools.cycle(triplets).__next__
+
+    weights = ex.train(sampler(21), config, np.random.default_rng(22))
+    expected = reference_explainer_train(sampler(21), config, np.random.default_rng(22))
+    assert weights.params.keys() == expected.keys()
+    for name, p in weights.params.items():
+        assert np.array_equal(p.data, expected[name]), name
+
+
 def test_training_zero_steps_returns_init():
     cfg = ex.ExplainerConfig(
         embed_dim=8, n_layers=1, n_heads=2, n_buckets=4, max_features=4,
@@ -267,17 +292,11 @@ def test_explain_zero_shot_chunks_long_tables():
     np.testing.assert_array_equal(ex.explain_zero_shot(w, X, y), np.vstack(chunks))
 
 
-def test_explain_zero_shot_builds_no_graph(monkeypatch):
+def test_explain_zero_shot_builds_no_graph(tensor_inits):
     w = small_weights(random_head=True, seed=15)
     X, y = toy_task(16, n=70, m=3)
-    created = []
-    init = ad.Tensor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        created.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    created = tensor_inits
+    created.clear()  # the weights' own parameter Tensors
     ex.explain_zero_shot(w, X, y)  # chunked: 70 rows exceed the 64-row context
     ex.explain_zero_shot(w, X[:10], y[:10], X[10:30], y[10:30])
     assert created == []

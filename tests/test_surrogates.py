@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import autodiff_fit_mlp_regressor
+from zeroshap import autodiff as ad
 from zeroshap import surrogates as sg
 from zeroshap.metrics import pearson
 
@@ -135,3 +137,32 @@ def test_mlp_regressor_learns_linear_map():
     g = sg.fit_surrogate("mlp_regressor", refs, rng=np.random.default_rng(2))
     score = pearson(sg.predict_surrogate(g, X[10:], y_hat[10:]), phi[10:])
     assert score > 0.3
+
+
+def _refs_case(case):
+    kind, k, m = case
+    X, y_hat, phi = linear_attribution_task(100 * k + m, k, m)
+    if kind == "constant-phi":
+        phi = np.full_like(phi, 0.25)
+    elif kind == "tied":
+        X[1], y_hat[1], phi[1] = X[0], y_hat[0], phi[0]
+    return sg.ReferenceSet(X=X, y_hat=y_hat, phi=phi)
+
+
+@pytest.mark.parametrize("case", [("linear", 2, 1), ("linear", 2, 8), ("linear", 5, 3),
+                                  ("linear", 10, 8), ("constant-phi", 6, 4), ("tied", 4, 2)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_mlp_regressor_fit_bit_identical_to_autodiff_graph(case):
+    refs = _refs_case(case)
+    state = sg.fit_surrogate("mlp_regressor", refs, rng=np.random.default_rng(3)).state
+    expected = autodiff_fit_mlp_regressor(refs, np.random.default_rng(3))
+    assert state.keys() == expected.keys()
+    for name in expected:
+        assert np.array_equal(state[name], expected[name]), name
+
+
+def test_mlp_regressor_fit_builds_no_graph(tensor_inits):
+    sg.fit_surrogate("mlp_regressor", make_refs(12, 4))
+    assert tensor_inits == []
+    ad.Tensor(np.zeros(1))
+    assert len(tensor_inits) == 1
