@@ -18,9 +18,8 @@ import numpy as np
 from zeroshap import explainer as ex
 from zeroshap import pool as pl
 from zeroshap import postprocess as pp
-from zeroshap.base_models import MlpConfig
+from zeroshap.config import RunConfig
 from zeroshap.metrics import pearson
-from zeroshap.scm import TaskGenConfig
 
 VARIANTS = {
     "raw": pp.CorrectionConfig(False, False, False),
@@ -39,10 +38,7 @@ def main() -> int:
     args = parser.parse_args()
 
     weights = ex.load_weights(args.checkpoint)
-    cfg = pl.PoolBuildConfig(
-        gen=TaskGenConfig(node_range=(2, 8), n_range=(48, 128), m_max=5, max_subgraphs=2),
-        base=MlpConfig(epochs=800),
-    )
+    cfg = RunConfig.load(None).pool_build_config()  # the generate subcommand's defaults
     scores = {name: [] for name in VARIANTS}
     rows = []
     for i in range(args.n_tasks):

@@ -29,7 +29,7 @@ from .explainer import (
     standardize_targets,
     train,
 )
-from .metrics import MetricReport, jaccard_topk, measure_runtime, pearson
+from .metrics import jaccard_topk, measure_runtime, pearson
 from .pool import (
     PoolBuildConfig,
     PoolError,

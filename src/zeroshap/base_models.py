@@ -22,6 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
+# the base-model kinds the label factory and the benchmark can train
+BASE_KINDS = ("mlp", "forest")
+
 
 # ---- standard scaler ----
 

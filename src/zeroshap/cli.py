@@ -21,12 +21,12 @@ from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig
 from .dag_recovery import dag_recovery
 from .explainer import explain_zero_shot, load_weights, save_weights, train
-from .metrics import MetricReport, mean_jaccard_topk, measure_runtime, pearson
+from .metrics import mean_jaccard_topk, measure_runtime, pearson
 from .pool import PoolError, generate_pool, make_pool_sampler, pool_read, pool_task_ids
 from .postprocess import full_pipeline
 from .scm import TaskRejected, sample_task
 from .shapley import ShapConfig, hybrid_shapley, subsample_background
-from .surrogates import ReferenceSet, fit_surrogate, predict_surrogate
+from .surrogates import MAX_REFERENCES, MIN_REFS, ReferenceSet, fit_surrogate, predict_surrogate
 
 # fixed per-stage spawn keys so stages draw independent, reproducible streams
 STAGE_TRAIN = 1
@@ -36,10 +36,6 @@ STAGE_DAG = 3
 
 class InputError(ValueError):
     """A malformed input file: reported as ``error: ...`` with exit status 2."""
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -66,12 +62,12 @@ def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def write_csv_matrix(path, header: list[str], matrix: np.ndarray) -> None:
+def write_csv_matrix(path, header: list[str], rows) -> None:
+    """Header, then one line per row: float cells as ``repr``, other cells as they are."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_json(path, payload: dict) -> None:
@@ -98,6 +94,16 @@ def _load_explainer(args, cfg: RunConfig):
 
 def _attribution_header(m: int) -> list[str]:
     return [f"feature_{j + 1}" for j in range(m)] + ["base_value"]
+
+
+def _shap_reference(predict_fn, X, cfg: RunConfig, rng, seed: int):
+    """The Shapley oracle under the ``shap.*`` keys, on a background that ``rng`` subsamples from X."""
+    return hybrid_shapley(predict_fn, X, ShapConfig(
+        exact_max_features=cfg.get_int("shap.exact_max_features"),
+        n_permutations=cfg.get_int("shap.n_permutations"),
+        background=subsample_background(X, rng, cfg.get_int("shap.background_size")),
+        seed=seed,
+    ))
 
 
 # ---- subcommands ----
@@ -180,17 +186,7 @@ def cmd_shap(args) -> int:
         raise InputError(f"{args.input}: {X.shape[1]} feature columns; the model {args.model} "
                          f"takes {model.n_features}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(STAGE_BENCH, 0)))
-    background = subsample_background(X, rng, cfg.get_int("shap.background_size"))
-    result = hybrid_shapley(
-        lambda rows: bm.predict(model, rows),
-        X,
-        ShapConfig(
-            exact_max_features=cfg.get_int("shap.exact_max_features"),
-            n_permutations=cfg.get_int("shap.n_permutations"),
-            background=background,
-            seed=cfg.seed,
-        ),
-    )
+    result = _shap_reference(lambda rows: bm.predict(model, rows), X, cfg, rng, seed=cfg.seed)
     out = np.column_stack([result.phi, np.full(X.shape[0], result.base_value)])
     write_csv_matrix(args.output, _attribution_header(X.shape[1]), out)
     print(f"wrote {X.shape[0]} rows ({result.estimator} estimator) to {args.output}")
@@ -201,114 +197,108 @@ def _eval_base_model(kind: str, X, y, cfg: RunConfig, seed: int):
     if kind == "mlp":
         mlp_cfg = bm.MlpConfig(hidden_sizes=(12, 12), epochs=cfg.get_int("benchmark.eval_epochs"),
                                lr0=1e-3, seed=seed)
-        model = bm.train_mlp(X, y, mlp_cfg)
-        return lambda rows: model.predict(rows)
-    if kind == "forest":
-        model = bm.train_forest(X, y, bm.ForestConfig(seed=seed))
-        return lambda rows: model.predict_proba(rows)
-    raise ConfigError(f"unknown base kind {kind!r}")
+        return bm.train_mlp(X, y, mlp_cfg).predict
+    return bm.train_forest(X, y, bm.ForestConfig(seed=seed)).predict_proba  # kinds are checked on entry
+
+
+def _check_sweep(n_tasks: int, methods: list[str], base_kinds: list[str], kshots: list[int]) -> None:
+    if n_tasks < 1:
+        raise ConfigError(f"benchmark.n_tasks must be at least 1, got {n_tasks}")
+    known = ["zero_shot", *MIN_REFS]
+    if not methods or any(method not in known for method in methods):
+        raise ConfigError(f"benchmark.methods = {','.join(methods)!r}: each must be one of {', '.join(known)}")
+    if not base_kinds or any(kind not in bm.BASE_KINDS for kind in base_kinds):
+        raise ConfigError(f"benchmark.base_kinds = {','.join(base_kinds)!r}: each must be one of "
+                          f"{', '.join(bm.BASE_KINDS)}")
+    if not kshots or any(not 0 <= k <= MAX_REFERENCES for k in kshots):
+        raise ConfigError(f"benchmark.kshots = {','.join(map(str, kshots))!r}: each must be a reference "
+                          f"count in [0, {MAX_REFERENCES}]")
+
+
+def _score_row(head: list, scores: list) -> list:
+    """``head``, then one cell per task (empty for a task too small to score) and the mean
+    over the tasks that were scored."""
+    scored = [score for score in scores if score is not None]
+    return [*head, *("" if score is None else score for score in scores), float(np.mean(scored))]
 
 
 def cmd_benchmark(args) -> int:
     cfg = _load_run_config(args)
-    weights = _load_explainer(args, cfg)
-    out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_tasks = cfg.get_int("benchmark.n_tasks")
     kshots = cfg.get_int_list("benchmark.kshots")
     methods = cfg.get_str_list("benchmark.methods")
     base_kinds = cfg.get_str_list("benchmark.base_kinds")
     gen_cfg = cfg.task_gen_config()
+    _check_sweep(n_tasks, methods, base_kinds, kshots)
+    # zero-shot takes no references, a surrogate at least two
+    runs = [(method, k) for method in methods for k in kshots
+            if (k == 0 if method == "zero_shot" else k >= 2)]
+    weights = _load_explainer(args, cfg)
+    out_dir = cfg.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     pearson_rows = []
     jaccard_rows = []
     runtime_rows = []
     for base_kind in base_kinds:
         tasks = []
-        references = []
         for t in range(n_tasks):
             seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(STAGE_BENCH, base_kinds.index(base_kind), t))
             rng = np.random.default_rng(seq)
             task_seed = int(rng.integers(0, 2**63))
             task = sample_task(task_seed, gen_cfg)
-            scaler = bm.fit_scaler(task.X)
-            X = bm.transform(scaler, task.X)
+            X = bm.transform(bm.fit_scaler(task.X), task.X)
             predict_fn = _eval_base_model(base_kind, X, task.y, cfg, seed=int(rng.integers(0, 2**31)))
-            background = subsample_background(X, rng, cfg.get_int("shap.background_size"))
-            reference = hybrid_shapley(predict_fn, X, ShapConfig(
-                exact_max_features=cfg.get_int("shap.exact_max_features"),
-                n_permutations=cfg.get_int("shap.n_permutations"),
-                background=background, seed=task_seed % (2**31),
-            ))
-            tasks.append((task, X, predict_fn(X), reference))
-            references.append(reference)
+            reference = _shap_reference(predict_fn, X, cfg, rng, seed=task_seed % (2**31))
+            tasks.append((task.seed, X, predict_fn, predict_fn(X), reference.phi))
 
-        for method in methods:
-            for k in kshots:
-                if method == "zero_shot" and k != 0:
+        for method, k in runs:
+            p_scores, j_scores = [], []
+            for task_seed, X, _, y_hat, reference in tasks:
+                if method == "zero_shot":
+                    phi = full_pipeline(explain_zero_shot(weights, X, y_hat), y_hat)
+                    truth = reference
+                elif k >= X.shape[0]:  # no row left to score once k are references
+                    p_scores.append(None)
+                    j_scores.append(None)
                     continue
-                if method != "zero_shot" and k < 2:
-                    continue
-                p_scores, j_scores = [], []
-                for task, X, y_hat, reference in tasks:
-                    if method == "zero_shot":
-                        raw = explain_zero_shot(weights, X, y_hat)
-                        phi = full_pipeline(raw, y_hat)
-                        truth = reference.phi
-                    else:
-                        if k >= X.shape[0]:
-                            continue
-                        refs = ReferenceSet(X=X[:k], y_hat=y_hat[:k], phi=reference.phi[:k])
-                        g = fit_surrogate(method, refs, rng=np.random.default_rng(task.seed % (2**31)))
-                        phi = predict_surrogate(g, X[k:], y_hat[k:])
-                        truth = reference.phi[k:]
-                    try:
-                        p_scores.append(pearson(phi, truth))
-                    except ValueError:
-                        p_scores.append(0.0)
-                    j_scores.append(mean_jaccard_topk(phi, truth))
-                if p_scores:
-                    pearson_rows.append([method, k, base_kind, *p_scores, float(np.mean(p_scores))])
-                    jaccard_rows.append([method, k, base_kind, *j_scores, float(np.mean(j_scores))])
+                else:
+                    refs = ReferenceSet(X=X[:k], y_hat=y_hat[:k], phi=reference[:k])
+                    g = fit_surrogate(method, refs, rng=np.random.default_rng(task_seed % (2**31)))
+                    phi = predict_surrogate(g, X[k:], y_hat[k:])
+                    truth = reference[k:]
+                try:
+                    p_scores.append(pearson(phi, truth))
+                except ValueError:
+                    p_scores.append(0.0)
+                j_scores.append(mean_jaccard_topk(phi, truth))
+            if any(score is not None for score in p_scores):
+                pearson_rows.append(_score_row([method, k, base_kind], p_scores))
+                jaccard_rows.append(_score_row([method, k, base_kind], j_scores))
 
-        # wall-clock comparison: the zero-shot pass never queries the model
-        task, X, y_hat, _ = tasks[0]
-        contributions = X.size
+        # wall-clock comparison on task 0's own base model: the zero-shot pass never queries it
+        _, X, predict_fn, y_hat, _ = tasks[0]
         zs_time = measure_runtime(lambda: explain_zero_shot(weights, X, y_hat),
-                                  repetitions=3, contributions=contributions)
+                                  repetitions=3, contributions=X.size)
         shap_cfg = ShapConfig(
             exact_max_features=cfg.get_int("shap.exact_max_features"),
             n_permutations=min(cfg.get_int("shap.n_permutations"), 50),
             background=subsample_background(X, np.random.default_rng(0), 32),
             seed=0,
         )
-        fn = _eval_base_model(base_kind, X, task.y, cfg, seed=0)
-        shap_time = measure_runtime(lambda: hybrid_shapley(fn, X, shap_cfg),
-                                    repetitions=3, contributions=contributions)
+        shap_time = measure_runtime(lambda: hybrid_shapley(predict_fn, X, shap_cfg),
+                                    repetitions=3, contributions=X.size)
         runtime_rows.append(["zero_shot", base_kind, zs_time])
         runtime_rows.append(["shap", base_kind, shap_time])
 
-    def _write_table(path, rows):
-        header = ["method", "samples", "base_kind"] + [f"task_{i}" for i in range(n_tasks)] + ["mean"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([row[0], row[1], row[2]] + [_fmt(v) for v in row[3:]])
-
-    _write_table(out_dir / "benchmark_pearson.csv", pearson_rows)
-    _write_table(out_dir / "benchmark_jaccard.csv", jaccard_rows)
-    with open(out_dir / "benchmark_runtime.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "base_kind", "seconds_per_1000_contributions"])
-        for method, base_kind, seconds in runtime_rows:
-            writer.writerow([method, base_kind, _fmt(seconds)])
+    table_header = ["method", "samples", "base_kind"] + [f"task_{i}" for i in range(n_tasks)] + ["mean"]
+    write_csv_matrix(out_dir / "benchmark_pearson.csv", table_header, pearson_rows)
+    write_csv_matrix(out_dir / "benchmark_jaccard.csv", table_header, jaccard_rows)
+    write_csv_matrix(out_dir / "benchmark_runtime.csv",
+                     ["method", "base_kind", "seconds_per_1000_contributions"], runtime_rows)
     reports = [
-        MetricReport(
-            pearson=p_row[-1],
-            jaccard_topk=j_row[-1],
-            metadata={"method": p_row[0], "samples": p_row[1], "base_kind": p_row[2], "seed": cfg.seed},
-        ).to_dict()
+        {"method": p_row[0], "samples": p_row[1], "base_kind": p_row[2], "seed": cfg.seed,
+         "pearson": p_row[-1], "jaccard_topk": j_row[-1]}
         for p_row, j_row in zip(pearson_rows, jaccard_rows)
     ]
     write_json(out_dir / "benchmark_report.json", {"reports": reports})
@@ -353,13 +343,11 @@ def cmd_dag_recover(args) -> int:
         print(f"error: only {collected}/{n_tasks} usable tasks", file=sys.stderr)
         return 1
 
-    with open(out_dir / "dag_ged_vs_budget.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["budget", "mean_ged", "mean_random_ged"])
-        for b in budgets:
-            mean_ged = float(np.mean([t["ged"][str(b)] for t in per_task]))
-            mean_rand = float(np.mean([t["random_ged"][str(b)] for t in per_task]))
-            writer.writerow([b, _fmt(mean_ged), _fmt(mean_rand)])
+    write_csv_matrix(out_dir / "dag_ged_vs_budget.csv", ["budget", "mean_ged", "mean_random_ged"], [
+        [b, float(np.mean([t["ged"][str(b)] for t in per_task])),
+         float(np.mean([t["random_ged"][str(b)] for t in per_task]))]
+        for b in budgets
+    ])
     write_json(out_dir / "dag_recovery.json", {"budgets": budgets, "tasks": per_task})
     print(f"dag recovery results written to {out_dir}")
     return 0

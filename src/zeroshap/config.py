@@ -125,9 +125,6 @@ class RunConfig:
     def get_float(self, key: str) -> float:
         return self._parse(key, float)
 
-    def get_bool(self, key: str) -> bool:
-        return self.get(key).lower() in ("1", "true", "yes", "on")
-
     def get_range(self, key: str) -> tuple[int, int]:
         def parse(value):
             lo, _, hi = value.partition(":")
@@ -154,9 +151,13 @@ class RunConfig:
         return Path(self.get("pool.path"))
 
     # section builders ----------------------------------------------
+    # Each turns its dataclass's own ValueError, a value that parses but is out
+    # of range, into a ConfigError naming the section.
 
     def task_gen_config(self, node_range_key: str = "gen.node_range") -> TaskGenConfig:
-        return TaskGenConfig(
+        section = "gen" if node_range_key == "gen.node_range" else f"gen and {node_range_key}"
+        return _section(
+            section, TaskGenConfig,
             node_range=self.get_range(node_range_key),
             n_range=self.get_range("gen.n_range"),
             m_max=self.get_int("gen.m_max"),
@@ -165,15 +166,17 @@ class RunConfig:
             connect_prob=self.get_float("gen.connect_prob"),
         )
 
-    def mlp_config(self, epochs_key: str = "base.epochs") -> MlpConfig:
-        return MlpConfig(
+    def mlp_config(self) -> MlpConfig:
+        return _section(
+            "base", MlpConfig,
             hidden_sizes=tuple(self.get_int_list("base.hidden_sizes")),
-            epochs=self.get_int(epochs_key),
+            epochs=self.get_int("base.epochs"),
             lr0=self.get_float("base.lr0"),
         )
 
     def explainer_config(self) -> ExplainerConfig:
-        return ExplainerConfig(
+        return _section(
+            "explainer", ExplainerConfig,
             embed_dim=self.get_int("explainer.embed_dim"),
             n_layers=self.get_int("explainer.n_layers"),
             n_heads=self.get_int("explainer.n_heads"),
@@ -187,7 +190,8 @@ class RunConfig:
         )
 
     def pool_build_config(self) -> PoolBuildConfig:
-        return PoolBuildConfig(
+        return _section(
+            "base", PoolBuildConfig,
             gen=self.task_gen_config(),
             base=self.mlp_config(),
             base_kind=self.get("base.kind"),
@@ -196,3 +200,10 @@ class RunConfig:
             n_permutations=self.get_int("shap.n_permutations"),
             background_size=self.get_int("shap.background_size"),
         )
+
+
+def _section(name: str, make, **values):
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc

@@ -46,10 +46,13 @@ class ExplainerConfig:
     def __post_init__(self):
         if self.n_buckets < 2:
             raise ValueError("need at least two buckets")
-        if self.embed_dim % self.n_heads != 0:
+        if self.n_heads < 1 or self.embed_dim % self.n_heads != 0:
             raise ValueError("embed_dim must be divisible by n_heads")
         if self.bucket_high <= self.bucket_low:
             raise ValueError("bucket range must be increasing")
+        if self.train_steps < 1 or self.restarts < 1:
+            raise ValueError(f"train_steps and restarts must be at least 1, got {self.train_steps} "
+                             f"and {self.restarts}")
 
     @property
     def n_slots(self) -> int:
@@ -349,9 +352,9 @@ def _training_loss_graph(params, slots, n_active, targets, config) -> ad.Tensor:
     return ad.multiply(ad.reduce_mean(ad.log(ad.clamp_min(picked, 1e-12))), -1.0)
 
 
-def _task_step_loss(params, triplet, config, grads=None) -> float:
-    """Mean NLPD over one task's features. With ``grads`` (flat-buffer views in ``params``
-    order), also sums each feature's backward sweep into them, feature 0 first."""
+def _task_step_loss(params, triplet, config, grads) -> float:
+    """Mean NLPD over one task's features; sums each feature's backward sweep into
+    ``grads`` (flat-buffer views in ``params`` order), feature 0 first."""
     phi_std, _ = standardize_targets(triplet.phi)
     m = triplet.m
     total = 0.0
@@ -359,13 +362,12 @@ def _task_step_loss(params, triplet, config, grads=None) -> float:
         slots = encode_rows(triplet.X, triplet.y_hat, j, config)
         loss = _training_loss_graph(params, slots, m + 1, phi_std[:, j], config)
         total += loss.item()
-        if grads is not None:
-            loss.backward()
-            for g, p in zip(grads, params.values()):
-                if j:
-                    g += p.grad
-                else:
-                    g[...] = p.grad
+        loss.backward()
+        for g, p in zip(grads, params.values()):
+            if j:
+                g += p.grad
+            else:
+                g[...] = p.grad
     return total / m
 
 
@@ -384,14 +386,9 @@ def train(pool_sampler, config: ExplainerConfig | None = None,
     rng = rng if rng is not None else np.random.default_rng(0)
     best: ExplainerWeights | None = None
     history = []
-    for restart in range(max(1, config.restarts)):
+    for restart in range(config.restarts):
         peak_lr = 10 ** rng.uniform(math.log10(config.lr_low), math.log10(config.lr_high))
         theta, params = init_params(config, rng)
-        if config.train_steps == 0:
-            loss = _task_step_loss(params, pool_sampler(), config)
-            return ExplainerWeights(params, config, metadata={
-                "steps": 0, "final_loss": loss, "initial_loss": loss, "peak_lr": peak_lr,
-            })
         grad = np.empty_like(theta)
         grads = ad.flat_views(grad, [p.shape for p in params.values()])
         state = ad.AdamState(theta.size)
@@ -459,7 +456,7 @@ def load_weights(path) -> ExplainerWeights:
         raise CheckpointError(f"{path}: config values of the wrong type: {mistyped}")
     try:
         cfg = ExplainerConfig(**config)
-    except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError: n_heads of 0
+    except ValueError as exc:
         raise CheckpointError(f"{path}: config does not describe an explainer ({exc})") from exc
     expected = {name: shape for name, shape, _ in _param_specs(cfg)}
     found = {name: arr.shape for name, arr in arrays.items()}

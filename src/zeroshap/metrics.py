@@ -3,24 +3,8 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class MetricReport:
-    pearson: float
-    jaccard_topk: float
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "pearson": self.pearson,
-            "jaccard_topk": self.jaccard_topk,
-        }
-        out.update(self.metadata)
-        return out
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:

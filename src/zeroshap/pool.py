@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base_models import ForestConfig, MlpConfig, train_forest, train_mlp
+from .base_models import BASE_KINDS, ForestConfig, MlpConfig, train_forest, train_mlp
 from .scm import ScmTask, TaskGenConfig, TaskRejected, sample_task
 from .shapley import ShapConfig, hybrid_shapley, subsample_background
 
@@ -81,6 +81,8 @@ def build_training_triplet(
     The estimator variant (exact vs permutation plus its seed) and the base
     model's initialization seed are drawn from ``rng``, diversifying the
     label-generating process across the pool; every draw lands in provenance.
+    Exact labelling needs ``task.m <= shap_cfg.exact_max_features``; the
+    background is ``background_size`` rows subsampled from the task's X.
     """
     base_cfg = base_cfg or MlpConfig()
     shap_cfg = shap_cfg or ShapConfig()
@@ -104,17 +106,13 @@ def build_training_triplet(
         raise TaskRejected(f"base model training diverged: {exc}") from exc
 
     y_hat = predict_fn(X)
-    background = shap_cfg.background
-    if background is None:
-        background = subsample_background(X, rng, size=background_size)
     result = hybrid_shapley(
         predict_fn,
         X,
         ShapConfig(
-            mode="exact" if use_exact else "permutation",
-            exact_max_features=max(shap_cfg.exact_max_features, task.m),
+            exact_max_features=task.m if use_exact else 0,
             n_permutations=shap_cfg.n_permutations,
-            background=background,
+            background=subsample_background(X, rng, size=background_size),
             seed=shap_seed,
         ),
     )
@@ -267,6 +265,10 @@ class PoolBuildConfig:
     n_permutations: int = 200
     background_size: int = 64
     max_attempts: int = 10
+
+    def __post_init__(self):
+        if self.base_kind not in BASE_KINDS:
+            raise ValueError(f"unknown base kind {self.base_kind!r}; expected one of {', '.join(BASE_KINDS)}")
 
 
 def build_pool_entry(master_seed: int, task_index: int, cfg: PoolBuildConfig) -> TrainingTriplet:

@@ -188,6 +188,12 @@ def _grow_subgraph(rng, nodes: list[int], p: float, birth_parent: dict[int, int 
         existing.append(node)
 
 
+def _check_node_range(node_range: tuple[int, int]) -> None:
+    lo, hi = node_range
+    if lo > hi or lo < 2 or hi > 64:
+        raise ValueError(f"node_range must be within [2, 64] and non-empty, got {node_range}")
+
+
 def sample_dag(
     rng: np.random.Generator,
     node_range: tuple[int, int] = (2, 10),
@@ -203,10 +209,8 @@ def sample_dag(
     each extra subgraph's root is attached back by one growth step with
     probability ``connect_prob`` (it may stay disconnected otherwise).
     """
-    lo, hi = node_range
-    if lo > hi or lo < 2 or hi > 64:
-        raise ValueError(f"node_range must be within [2, 64] and non-empty, got {node_range}")
-    n_nodes = int(rng.integers(lo, hi + 1))
+    _check_node_range(node_range)
+    n_nodes = int(rng.integers(node_range[0], node_range[1] + 1))
 
     if redirect_dist == "gamma":
         p = float(np.clip(rng.gamma(gamma_shape, gamma_scale), 0.0, 1.0))
@@ -364,6 +368,14 @@ class TaskGenConfig:
     max_subgraphs: int = 2
     connect_prob: float = 0.5
     child_noise_scale: float = 1.0
+
+    def __post_init__(self):
+        _check_node_range(self.node_range)
+        lo, hi = self.n_range
+        if lo > hi or lo < 2:
+            raise ValueError(f"n_range must be non-empty with at least 2 rows, got {self.n_range}")
+        if self.m_max < 1:
+            raise ValueError(f"m_max must be at least 1, got {self.m_max}")
 
 
 def sample_task(seed: int, cfg: TaskGenConfig | None = None, max_attempts: int = 16) -> ScmTask:

@@ -4,9 +4,10 @@ Coalition values are expectations over a background set with in-coalition
 features overwritten by the explained row. One helper evaluates many
 coalitions at once: it builds their overwritten background copies with one
 ``np.where`` and predicts them in slices of at most ``ROWS_PER_CALL`` rows.
-Exact mode evaluates all 2^m coalitions of an instance that way and reuses
-them across features; permutation mode evaluates each distinct prefix
-coalition of the sampled feature orders once.
+``hybrid_shapley`` enumerates all 2^m coalitions of an instance exactly when
+m is at most ``ShapConfig.exact_max_features``, and reuses them across
+features; otherwise it samples feature orders and evaluates each distinct
+prefix coalition of them once.
 
 The predictions of a coalition's rows are bit-identical to predicting those
 rows alone only when the model's arithmetic does not depend on a row's
@@ -32,7 +33,9 @@ ROWS_PER_CALL = 256
 
 @dataclass
 class ShapConfig:
-    mode: str = "hybrid"  # exact | permutation | hybrid
+    """Oracle settings: exact enumeration iff m <= ``exact_max_features``, else
+    ``n_permutations`` sampled feature orders drawn from ``seed``."""
+
     exact_max_features: int = 10
     n_permutations: int = 200
     background: np.ndarray | None = None
@@ -41,8 +44,6 @@ class ShapConfig:
     def __post_init__(self):
         if self.n_permutations < 1:
             raise ValueError("n_permutations must be at least 1")
-        if self.mode not in ("exact", "permutation", "hybrid"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -56,7 +57,7 @@ class ShapResult:
 def _coalition_values(predict_fn, x: np.ndarray, members: np.ndarray, background) -> np.ndarray:
     """Mean prediction per coalition; ``members`` is a boolean (coalitions, m) matrix.
 
-    Boolean rows rather than integer bitmasks, so that permutation mode has
+    Boolean rows rather than integer bitmasks, so that permutation sampling has
     no limit on m. Each slice holds as many whole coalitions as fit in ``ROWS_PER_CALL``
     rows, and at least one.
     """
@@ -95,7 +96,7 @@ def exact_shapley(predict_fn, x: np.ndarray, background: np.ndarray,
     m = x.size
     if m > max_features:
         raise ValueError(
-            f"{m} features exceeds the exact enumeration limit of {max_features}; use permutation mode"
+            f"{m} features exceeds the exact enumeration limit of {max_features}; use permutation sampling"
         )
     members = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
     values = _coalition_values(predict_fn, x, members, background).tolist()
@@ -151,16 +152,13 @@ def hybrid_shapley(predict_fn, X: np.ndarray, config: ShapConfig) -> ShapResult:
         raise ValueError("config.background must be a non-empty matrix")
     background = np.asarray(background, dtype=np.float64)
 
-    if config.mode == "exact" or (config.mode == "hybrid" and m <= config.exact_max_features):
-        estimator = "exact"
-    else:
-        estimator = "permutation"
+    estimator = "exact" if m <= config.exact_max_features else "permutation"
 
     base_value = coalition_value(predict_fn, X[0], [], background)
 
     def explain_row(i: int) -> np.ndarray:
         if estimator == "exact":
-            return exact_shapley(predict_fn, X[i], background, max_features=max(m, config.exact_max_features))
+            return exact_shapley(predict_fn, X[i], background, max_features=config.exact_max_features)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
         return permutation_shapley(predict_fn, X[i], background, config.n_permutations, rng)
 

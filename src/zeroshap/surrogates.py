@@ -24,6 +24,7 @@ MLP_EPOCHS = 500
 MLP_LR = 1e-2
 FOREST_SIZE = 30
 FOREST_DEPTH = 4
+MAX_REFERENCES = 32
 
 
 @dataclass
@@ -36,8 +37,8 @@ class ReferenceSet:
         self.X = np.asarray(self.X, dtype=np.float64)
         self.y_hat = np.asarray(self.y_hat, dtype=np.float64).ravel()
         self.phi = np.asarray(self.phi, dtype=np.float64)
-        if not 1 <= self.k <= 32:
-            raise ValueError(f"reference count {self.k} outside [1, 32]")
+        if not 1 <= self.k <= MAX_REFERENCES:
+            raise ValueError(f"reference count {self.k} outside [1, {MAX_REFERENCES}]")
         if self.phi.shape != self.X.shape or self.y_hat.shape[0] != self.k:
             raise ValueError("inconsistent reference set shapes")
 
@@ -60,15 +61,16 @@ class Surrogate:
     state: dict = field(repr=False, default_factory=dict)
 
 
-_MIN_REFS = {"knn": 1, "mlp_regressor": 2, "forest_regressor": 2}
+# every surrogate kind, with the fewest references it fits on
+MIN_REFS = {"knn": 1, "mlp_regressor": 2, "forest_regressor": 2}
 
 
 def fit_surrogate(kind: str, refs: ReferenceSet, rng: np.random.Generator | None = None) -> Surrogate:
     rng = rng if rng is not None else np.random.default_rng(0)
-    if kind not in _MIN_REFS:
+    if kind not in MIN_REFS:
         raise ValueError(f"unknown surrogate kind {kind!r}")
-    if refs.k < _MIN_REFS[kind]:
-        raise ValueError(f"{kind} needs at least {_MIN_REFS[kind]} references, got {refs.k}")
+    if refs.k < MIN_REFS[kind]:
+        raise ValueError(f"{kind} needs at least {MIN_REFS[kind]} references, got {refs.k}")
     if kind == "knn":
         state = {"inputs": refs.inputs(), "phi": refs.phi.copy(),
                  "n_neighbors": min(KNN_MAX_NEIGHBORS, refs.k)}

@@ -175,7 +175,7 @@ def reference_explainer_train(pool_sampler, config, rng):
     from zeroshap import explainer as ex
 
     best, best_loss = None, math.inf
-    for _ in range(max(1, config.restarts)):
+    for _ in range(config.restarts):
         peak_lr = 10 ** rng.uniform(math.log10(config.lr_low), math.log10(config.lr_high))
         _, params = ex.init_params(config, rng)
         arrays = {name: p.data for name, p in params.items()}

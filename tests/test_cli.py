@@ -227,16 +227,29 @@ def test_shap_feature_count_mismatch_fails_cleanly(tmp_path, capsys, kind):
 
 
 def test_benchmark_table_structure(workspace):
+    # the two benchmark tasks have n = 32 and 31 rows: k = 31 scores task 0 only
     root, config = workspace
-    assert cli.main(["benchmark", "--config", str(config), "--quiet"]) == 0
-    with open(root / "out" / "benchmark_pearson.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    assert header == ["method", "samples", "base_kind", "task_0", "task_1", "mean"]
-    combos = {(r[0], r[1]) for r in body}
-    assert combos == {("zero_shot", "0"), ("knn", "2")}
-    assert (root / "out" / "benchmark_runtime.csv").exists()
-    assert (root / "out" / "benchmark_report.json").exists()
+    assert cli.main(["benchmark", "--config", str(config), "--set", "benchmark.kshots=0,1,2,31",
+                     "--set", "benchmark.methods=zero_shot,knn,forest_regressor", "--quiet"]) == 0
+    runs = [("zero_shot", "0"), ("knn", "2"), ("knn", "31"), ("forest_regressor", "2"),
+            ("forest_regressor", "31")]
+    for table in ("pearson", "jaccard"):
+        with open(root / "out" / f"benchmark_{table}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, body = rows[0], rows[1:]
+        assert header == ["method", "samples", "base_kind", "task_0", "task_1", "mean"]
+        assert all(len(row) == len(header) for row in body)
+        assert [(r[0], r[1]) for r in body] == runs
+        for method, k, _, task_0, task_1, mean in body:
+            assert task_0 != "" and mean != ""
+            assert (task_1 == "") == (k == "31")
+            if k == "31":
+                assert task_0 == mean
+    report = json.loads((root / "out" / "benchmark_report.json").read_text())["reports"]
+    assert [(r["method"], str(r["samples"])) for r in report] == runs
+    with open(root / "out" / "benchmark_runtime.csv", newline="") as fh:
+        assert [row[:2] for row in csv.reader(fh)] == [["method", "base_kind"], ["zero_shot", "mlp"],
+                                                       ["shap", "mlp"]]
 
 
 def test_dag_recover_outputs(workspace):
@@ -412,3 +425,34 @@ def test_explain_unwritable_output_fails_cleanly(workspace, tmp_path, capsys):
     code = cli.main(["explain", "--config", str(config), "--input", str(csv_in),
                      "--output", str(csv_out)])
     _fails_cleanly(code, capsys, str(csv_out))
+
+
+OUT_OF_RANGE = [
+    ("train", "explainer.n_heads=3", "explainer: embed_dim must be divisible by n_heads"),
+    ("train", "explainer.train_steps=0", "explainer: train_steps and restarts must be at least 1"),
+    ("train", "explainer.restarts=0", "explainer: train_steps and restarts must be at least 1"),
+    ("generate", "base.kind=svm", "base: unknown base kind 'svm'"),
+    ("generate", "gen.m_max=-1", "gen: m_max must be at least 1"),
+    ("generate", "gen.n_range=40:30", "gen: n_range must be non-empty"),
+    ("generate", "gen.node_range=1:4", "gen: node_range must be within [2, 64]"),
+    ("benchmark", "benchmark.methods=zero_shot,lasso", "benchmark.methods = 'zero_shot,lasso'"),
+    ("benchmark", "benchmark.kshots=0,90", "benchmark.kshots = '0,90': each must be a reference count in [0, 32]"),
+    ("benchmark", "benchmark.base_kinds=mlp,svm", "benchmark.base_kinds = 'mlp,svm'"),
+    ("benchmark", "benchmark.n_tasks=0", "benchmark.n_tasks must be at least 1"),
+    ("dag-recover", "dag.node_range=5:4", "gen and dag.node_range: node_range must be within [2, 64]"),
+]
+
+
+@pytest.mark.parametrize("command, override, message", OUT_OF_RANGE,
+                         ids=[f"{command}-{override}" for command, override, _ in OUT_OF_RANGE])
+def test_out_of_range_config_value_fails_cleanly(workspace, tmp_path, capsys, monkeypatch,
+                                                 command, override, message):
+    _, config = workspace
+    # the benchmark checks its sweep before it samples a task
+    monkeypatch.setattr(cli, "sample_task", lambda *args, **kwargs: pytest.fail("sampled a task"))
+    extra = {"generate": ["--pool", str(tmp_path / "pool")],
+             "train": ["--checkpoint", str(tmp_path / "explainer.ckpt")]}
+    code = cli.main([command, "--config", str(config), "--set", override, "--quiet",
+                     *extra.get(command, [])])
+    _fails_cleanly(code, capsys, "config error: ", message)
+    assert list(tmp_path.iterdir()) == []

@@ -263,14 +263,15 @@ def test_training_equals_per_parameter_reference_loop():
         assert np.array_equal(p.data, expected[name]), name
 
 
-def test_training_zero_steps_returns_init():
-    cfg = ex.ExplainerConfig(
-        embed_dim=8, n_layers=1, n_heads=2, n_buckets=4, max_features=4,
-        max_context_rows=64, train_steps=0, restarts=1,
-    )
-    weights = ex.train(make_toy_sampler(1), cfg, np.random.default_rng(0))
-    assert weights.metadata["steps"] == 0
-    assert weights.metadata["final_loss"] == weights.metadata["initial_loss"]
+@pytest.mark.parametrize("field, value, message", [
+    ("train_steps", 0, "train_steps and restarts must be at least 1"),
+    ("train_steps", -3, "train_steps and restarts must be at least 1"),
+    ("restarts", 0, "train_steps and restarts must be at least 1"),
+    ("n_heads", 0, "divisible by n_heads"),
+])
+def test_config_rejects_fewer_than_one_step_restart_or_head(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(MICRO, **{field: value})
 
 
 def test_explain_zero_shot_contract():

@@ -259,8 +259,10 @@ def test_hybrid_dispatch_tags():
     rng = np.random.default_rng(15)
     model4 = random_mlp(4, 1)
     X4 = rng.normal(size=(6, 4))
-    cfg = sh.ShapConfig(background=X4, exact_max_features=10)
-    assert sh.hybrid_shapley(model4.predict, X4, cfg).estimator == "exact"
+    # exact enumeration iff m <= exact_max_features
+    for limit, estimator in ((10, "exact"), (4, "exact"), (3, "permutation"), (0, "permutation")):
+        cfg = sh.ShapConfig(background=X4, exact_max_features=limit, n_permutations=5)
+        assert sh.hybrid_shapley(model4.predict, X4, cfg).estimator == estimator, limit
 
     model12 = random_mlp(12, 2)
     X12 = rng.normal(size=(4, 12))
