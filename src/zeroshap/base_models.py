@@ -9,7 +9,9 @@ attribution ground truth is computed on the probability output.
 This module is the one home of CART: one builder with per-split feature
 subsampling and two split costs, Gini for the forest classifier and summed
 squared error for the few-shot forest-regressor surrogate, whose trees hold
-multi-output leaves.
+multi-output leaves. One stacked walk predicts for both forests: their trees
+are concatenated once per model, and every (tree, row) pair descends one
+level per step.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 # the base-model kinds the label factory and the benchmark can train
 BASE_KINDS = ("mlp", "forest")
+# fewest rows ``train_mlp`` fits on
+MLP_MIN_ROWS = 16
 
 
 # ---- standard scaler ----
@@ -146,8 +150,8 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
     cfg = cfg or MlpConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if X.shape[0] < 16:
-        raise ValueError("need at least 16 training rows")
+    if X.shape[0] < MLP_MIN_ROWS:
+        raise ValueError(f"need at least {MLP_MIN_ROWS} training rows")
     classes = np.unique(y)
     if not np.array_equal(classes, [0.0, 1.0]):
         raise ValueError("labels must be binary with both classes present")
@@ -197,7 +201,8 @@ class Tree:
     """Flat-array CART: feature < 0 marks a leaf; value holds each node's mean target.
 
     ``value`` is (n_nodes,) for a label column, where it is P(class 1), and
-    (n_nodes, d) for d outputs; ``predict`` returns (n,) or (n, d) to match.
+    (n_nodes, d) for d outputs. Rows with ``x[feature] <= threshold`` go to
+    ``left``. Trees are predicted through a ``TreeStack``.
     """
 
     feature: np.ndarray
@@ -205,23 +210,6 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty((X.shape[0],) + self.value.shape[1:])
-        active = np.arange(X.shape[0])
-        nodes = np.zeros(X.shape[0], dtype=np.int64)
-        while active.size:
-            feat = self.feature[nodes[active]]
-            leaf_mask = feat < 0
-            leaf_rows = active[leaf_mask]
-            out[leaf_rows] = self.value[nodes[leaf_rows]]
-            active = active[~leaf_mask]
-            if not active.size:
-                break
-            cur = nodes[active]
-            goes_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            nodes[active] = np.where(goes_left, self.left[cur], self.right[cur])
-        return out
 
 
 def _gini_best_split(col: np.ndarray, y: np.ndarray):
@@ -324,6 +312,100 @@ def _fit_tree(X: np.ndarray, Y: np.ndarray, max_depth: int, rng, split) -> Tree:
     )
 
 
+# ---- stacked walk ----
+
+# (tree, row) pairs that one block of the stacked walk descends together. It
+# bounds the walk's per-level index arrays. On 100-tree forests fitted to 48
+# rows, called with 240 rows (26 trees per block), a call took 2.2 ms. Walking
+# all trees at once took 2.5 ms and left the forest label factory's peak RSS
+# 0.2-0.6 MB higher; blocks of 1600 pairs took 3.3 ms. The per-tree walk took
+# about 9 ms.
+PAIRS_PER_BLOCK = 6400
+
+
+@dataclass(frozen=True)
+class TreeStack:
+    """Trees concatenated with node offsets, so that one walk serves all of them.
+
+    ``children[2 * node]`` is a node's left child and ``children[2 * node + 1]``
+    its right one. Leaves link to themselves and test feature 0, so a
+    (tree, row) pair that reached its leaf stays there while deeper trees
+    finish. ``depth`` is the longest root-to-leaf path over the trees: the
+    number of steps a walk takes.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Mean leaf value over the trees, (n,) or (n, d); safe for concurrent callers.
+
+        Each row's leaf values are summed in tree order, starting from the
+        first tree's, then divided by the tree count.
+        """
+        n, m = X.shape
+        x_flat = X.ravel()
+        row_starts = np.arange(n) * m
+        per_block = max(1, PAIRS_PER_BLOCK // max(n, 1))
+        total = None
+        for start in range(0, self.roots.size, per_block):
+            roots = self.roots[start : start + per_block]
+            nodes = np.repeat(roots, n)
+            cells = np.tile(row_starts, roots.size)
+            for _ in range(self.depth):
+                goes_right = ~(x_flat[cells + self.feature[nodes]] <= self.threshold[nodes])
+                nodes = self.children[2 * nodes + goes_right]
+            for leaf_values in self.value[nodes].reshape((roots.size, n) + self.value.shape[1:]):
+                if total is None:
+                    total = leaf_values
+                else:
+                    total += leaf_values
+        return total / self.roots.size
+
+    def unstack(self) -> list[Tree]:
+        """The trees one by one, with -1 as a leaf's feature and links, as the builder writes them."""
+        itself = np.arange(self.feature.size)
+        left, right = self.children[0::2], self.children[1::2]
+        leaf = left == itself  # a split's children come after it
+        offsets = np.repeat(self.roots, np.diff(np.append(self.roots, itself.size)))
+        arrays = (np.where(leaf, -1, self.feature), self.threshold, np.where(leaf, -1, left - offsets),
+                  np.where(leaf, -1, right - offsets), self.value)
+        return [Tree(*parts) for parts in zip(*(np.split(a, self.roots[1:]) for a in arrays))]
+
+
+def stack_trees(trees: list[Tree]) -> TreeStack:
+    """One ``TreeStack`` of ``trees``, whose children must come after their parent."""
+    if not trees:
+        raise ValueError("a forest needs at least one tree")
+    sizes = [tree.feature.shape[0] for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offsets = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature < 0
+    itself = np.arange(feature.size)
+    left = np.where(leaf, itself, np.concatenate([tree.left for tree in trees]) + offsets)
+    right = np.where(leaf, itself, np.concatenate([tree.right for tree in trees]) + offsets)
+    # one level per step from the roots; np.unique keeps a level no larger than
+    # the node count even where a damaged tree shares a child between parents
+    depth, level = 0, roots[~leaf[roots]]
+    while level.size:
+        below = np.unique(np.concatenate([left[level], right[level]]))
+        level = below[~leaf[below]]
+        depth += 1
+    return TreeStack(
+        feature=np.where(leaf, 0, feature),
+        threshold=np.concatenate([tree.threshold for tree in trees]),
+        children=np.column_stack([left, right]).ravel(),
+        value=np.concatenate([tree.value for tree in trees]),
+        roots=roots,
+        depth=depth,
+    )
+
+
 # ---- random forest ----
 
 
@@ -339,19 +421,22 @@ class ForestConfig:
 
 @dataclass
 class ForestModel:
-    trees: list[Tree]
+    """A forest held as one ``TreeStack``, which ``train_forest`` and ``load_model`` build."""
+
+    stack: TreeStack = field(repr=False)
     config: ForestConfig
     n_features: int
 
+    @property
+    def trees(self) -> list[Tree]:
+        return self.stack.unstack()
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean leaf class-1 frequency across trees; order-invariant."""
+        """Mean leaf class-1 frequency across trees; safe for concurrent callers."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) inputs, got {X.shape}")
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
+        return self.stack.predict(X)
 
 
 def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None) -> ForestModel:
@@ -366,7 +451,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None) 
         rng = np.random.default_rng(seq)
         idx = rng.integers(0, X.shape[0], size=X.shape[0])
         trees.append(_fit_tree(X[idx], y[idx], cfg.max_depth, rng, _gini_best_split))
-    return ForestModel(trees=trees, config=cfg, n_features=X.shape[1])
+    return ForestModel(stack=stack_trees(trees), config=cfg, n_features=X.shape[1])
 
 
 # ---- checkpoints ----
@@ -428,12 +513,15 @@ def load_model(path):
                                seed=config["seed"])
             trees = [Tree(*(arrays[f"t{i}_{name}"] for name in _TREE_ARRAYS))
                      for i in range(cfg.n_estimators)]
-            model = ForestModel(trees=trees, config=cfg, n_features=config["n_features"])
-            fits = bool(trees) and all(_tree_fits(tree, model.n_features) for tree in trees)
+            n_features = config["n_features"]
+            fits = bool(trees) and all(_tree_fits(tree, n_features) for tree in trees)
+            # stacking needs trees that fit, so it waits for the check
+            model = ForestModel(stack=stack_trees(trees), config=cfg, n_features=n_features) if fits else None
     except (KeyError, TypeError, IndexError) as exc:
         raise CheckpointError(f"{path}: not a base-model checkpoint ({type(exc).__name__}: {exc})") from exc
     if not fits:
-        raise CheckpointError(f"{path}: arrays do not form a {type(model).__name__}")
+        kind = "MlpModel" if "n_layers" in config else "ForestModel"
+        raise CheckpointError(f"{path}: arrays do not form a {kind}")
     return model
 
 

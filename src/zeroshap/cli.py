@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig
 from .dag_recovery import dag_recovery
 from .explainer import explain_zero_shot, load_weights, save_weights, train
 from .metrics import mean_jaccard_topk, measure_runtime, pearson
-from .pool import PoolError, generate_pool, make_pool_sampler, pool_read, pool_task_ids
+from .pool import PoolError, check_shap_sizes, generate_pool, make_pool_sampler, pool_read, pool_task_ids
 from .postprocess import full_pipeline
 from .scm import TaskRejected, sample_task
 from .shapley import ShapConfig, hybrid_shapley, subsample_background
@@ -98,10 +98,16 @@ def _attribution_header(m: int) -> list[str]:
 
 def _shap_reference(predict_fn, X, cfg: RunConfig, rng, seed: int):
     """The Shapley oracle under the ``shap.*`` keys, on a background that ``rng`` subsamples from X."""
+    n_permutations = cfg.get_int("shap.n_permutations")
+    background_size = cfg.get_int("shap.background_size")
+    try:
+        check_shap_sizes(n_permutations, background_size)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return hybrid_shapley(predict_fn, X, ShapConfig(
         exact_max_features=cfg.get_int("shap.exact_max_features"),
-        n_permutations=cfg.get_int("shap.n_permutations"),
-        background=subsample_background(X, rng, cfg.get_int("shap.background_size")),
+        n_permutations=n_permutations,
+        background=subsample_background(X, rng, background_size),
         seed=seed,
     ))
 
@@ -201,7 +207,8 @@ def _eval_base_model(kind: str, X, y, cfg: RunConfig, seed: int):
     return bm.train_forest(X, y, bm.ForestConfig(seed=seed)).predict_proba  # kinds are checked on entry
 
 
-def _check_sweep(n_tasks: int, methods: list[str], base_kinds: list[str], kshots: list[int]) -> None:
+def _check_sweep(n_tasks: int, methods: list[str], base_kinds: list[str], kshots: list[int],
+                 min_rows: int) -> None:
     if n_tasks < 1:
         raise ConfigError(f"benchmark.n_tasks must be at least 1, got {n_tasks}")
     known = ["zero_shot", *MIN_REFS]
@@ -210,6 +217,9 @@ def _check_sweep(n_tasks: int, methods: list[str], base_kinds: list[str], kshots
     if not base_kinds or any(kind not in bm.BASE_KINDS for kind in base_kinds):
         raise ConfigError(f"benchmark.base_kinds = {','.join(base_kinds)!r}: each must be one of "
                           f"{', '.join(bm.BASE_KINDS)}")
+    if "mlp" in base_kinds and min_rows < bm.MLP_MIN_ROWS:
+        raise ConfigError(f"benchmark.base_kinds includes mlp, which needs at least {bm.MLP_MIN_ROWS} "
+                          f"training rows, but gen.n_range starts at {min_rows}")
     if not kshots or any(not 0 <= k <= MAX_REFERENCES for k in kshots):
         raise ConfigError(f"benchmark.kshots = {','.join(map(str, kshots))!r}: each must be a reference "
                           f"count in [0, {MAX_REFERENCES}]")
@@ -229,7 +239,7 @@ def cmd_benchmark(args) -> int:
     methods = cfg.get_str_list("benchmark.methods")
     base_kinds = cfg.get_str_list("benchmark.base_kinds")
     gen_cfg = cfg.task_gen_config()
-    _check_sweep(n_tasks, methods, base_kinds, kshots)
+    _check_sweep(n_tasks, methods, base_kinds, kshots, gen_cfg.n_range[0])
     # zero-shot takes no references, a surrogate at least two
     runs = [(method, k) for method in methods for k in kshots
             if (k == 0 if method == "zero_shot" else k >= 2)]

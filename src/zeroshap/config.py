@@ -152,7 +152,8 @@ class RunConfig:
 
     # section builders ----------------------------------------------
     # Each turns its dataclass's own ValueError, a value that parses but is out
-    # of range, into a ConfigError naming the section.
+    # of range, into a ConfigError naming the section. PoolBuildConfig, which
+    # checks keys of two sections, names the section in its own messages.
 
     def task_gen_config(self, node_range_key: str = "gen.node_range") -> TaskGenConfig:
         section = "gen" if node_range_key == "gen.node_range" else f"gen and {node_range_key}"
@@ -191,7 +192,7 @@ class RunConfig:
 
     def pool_build_config(self) -> PoolBuildConfig:
         return _section(
-            "base", PoolBuildConfig,
+            None, PoolBuildConfig,
             gen=self.task_gen_config(),
             base=self.mlp_config(),
             base_kind=self.get("base.kind"),
@@ -202,8 +203,8 @@ class RunConfig:
         )
 
 
-def _section(name: str, make, **values):
+def _section(name: str | None, make, **values):
     try:
         return make(**values)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}" if name else str(exc)) from exc

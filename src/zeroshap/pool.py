@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base_models import BASE_KINDS, ForestConfig, MlpConfig, train_forest, train_mlp
+from .base_models import BASE_KINDS, MLP_MIN_ROWS, ForestConfig, MlpConfig, train_forest, train_mlp
 from .scm import ScmTask, TaskGenConfig, TaskRejected, sample_task
 from .shapley import ShapConfig, hybrid_shapley, subsample_background
 
@@ -253,9 +253,19 @@ def make_pool_sampler(pool_dir, rng: np.random.Generator, timeout: float = 10.0)
 # ---- parallel generation ----
 
 
+def check_shap_sizes(n_permutations: int, background_size: int) -> None:
+    """A Shapley reference samples at least one feature order over at least one background row."""
+    for name, value in (("n_permutations", n_permutations), ("background_size", background_size)):
+        if value < 1:
+            raise ValueError(f"shap: {name} must be at least 1, got {value}")
+
+
 @dataclass
 class PoolBuildConfig:
-    """Everything needed to produce one pool entry from a task index."""
+    """Everything needed to produce one pool entry from a task index.
+
+    Its checks name the config section of the value they reject.
+    """
 
     gen: TaskGenConfig = field(default_factory=TaskGenConfig)
     base: MlpConfig = field(default_factory=MlpConfig)
@@ -268,7 +278,14 @@ class PoolBuildConfig:
 
     def __post_init__(self):
         if self.base_kind not in BASE_KINDS:
-            raise ValueError(f"unknown base kind {self.base_kind!r}; expected one of {', '.join(BASE_KINDS)}")
+            raise ValueError(f"base: unknown base kind {self.base_kind!r}; expected one of "
+                             f"{', '.join(BASE_KINDS)}")
+        if self.base_kind == "mlp" and self.gen.n_range[0] < MLP_MIN_ROWS:
+            raise ValueError(f"base: an mlp base model needs at least {MLP_MIN_ROWS} training rows, "
+                             f"but gen.n_range starts at {self.gen.n_range[0]}")
+        check_shap_sizes(self.n_permutations, self.background_size)
+        if not 0.0 <= self.exact_prob <= 1.0:
+            raise ValueError(f"shap: exact_prob must be within [0, 1], got {self.exact_prob}")
 
 
 def build_pool_entry(master_seed: int, task_index: int, cfg: PoolBuildConfig) -> TrainingTriplet:

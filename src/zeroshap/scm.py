@@ -38,6 +38,10 @@ ACTIVATION_FAMILIES = (
 )
 
 _LOG_EPS = 1e-8
+# the rules that draw a graph's redirection probability p
+REDIRECT_DISTS = ("gamma", "uniform", "zero")
+# fewest rows ``propagate`` materializes
+MIN_SAMPLES = 8
 
 
 def sample_activation_tag(rng: np.random.Generator) -> str:
@@ -299,8 +303,8 @@ def propagate(
     Every node column is standardized to zero mean, unit population variance
     before downstream nodes consume it.
     """
-    if n_samples < 8:
-        raise ValueError(f"n_samples must be at least 8, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}, got {n_samples}")
     values = np.zeros((n_samples, dag.node_count))
     for node in dag.topological_order():
         parents = dag.parents_of(node)
@@ -372,10 +376,17 @@ class TaskGenConfig:
     def __post_init__(self):
         _check_node_range(self.node_range)
         lo, hi = self.n_range
-        if lo > hi or lo < 2:
-            raise ValueError(f"n_range must be non-empty with at least 2 rows, got {self.n_range}")
+        if lo > hi or lo < MIN_SAMPLES:
+            raise ValueError(f"n_range must be non-empty with at least {MIN_SAMPLES} rows, got {self.n_range}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be at least 1, got {self.m_max}")
+        if self.redirect_dist not in REDIRECT_DISTS:
+            raise ValueError(f"unknown redirect_dist {self.redirect_dist!r}; expected one of "
+                             f"{', '.join(REDIRECT_DISTS)}")
+        if self.max_subgraphs < 1:
+            raise ValueError(f"max_subgraphs must be at least 1, got {self.max_subgraphs}")
+        if not 0.0 <= self.connect_prob <= 1.0:
+            raise ValueError(f"connect_prob must be within [0, 1], got {self.connect_prob}")
 
 
 def sample_task(seed: int, cfg: TaskGenConfig | None = None, max_attempts: int = 16) -> ScmTask:

@@ -7,7 +7,7 @@ reference triplets and query (X, Y_hat) pairs. Neither fitted surrogate keeps
 training code of its own: the MLP regressor is fitted by the numpy MLP fit of
 ``base_models`` on a squared-error readout gradient, and the forest
 regressor's trees are ``base_models`` CART trees grown on the variance split
-cost.
+cost and predicted by its stacked walk.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base_models import _fit_mlp, _fit_tree, _variance_best_split
+from .base_models import _fit_mlp, _fit_tree, _variance_best_split, stack_trees
 
 KNN_MAX_NEIGHBORS = 3
 MLP_HIDDEN = 32
@@ -154,12 +154,8 @@ def _fit_forest_regressor(refs: ReferenceSet, rng) -> dict:
     for _ in range(FOREST_SIZE):
         idx = rng.integers(0, Z.shape[0], size=Z.shape[0])
         trees.append(_fit_tree(Z[idx], Y[idx], FOREST_DEPTH, rng, _variance_best_split))
-    return {"trees": trees}
+    return {"forest": stack_trees(trees)}
 
 
 def _predict_forest(state, Z: np.ndarray) -> np.ndarray:
-    out = None
-    for tree in state["trees"]:
-        pred = tree.predict(Z)
-        out = pred if out is None else out + pred
-    return out / len(state["trees"])
+    return state["forest"].predict(Z)

@@ -5,7 +5,8 @@ evaluated straight from the weighted-marginal-contribution definition with
 no coalition caching or reuse; the reference MLP fits take their gradients
 from the autodiff graph instead of the hand-written backward pass; and the
 reference Adam and explainer training loop step one parameter array at a
-time instead of one flat buffer.
+time instead of one flat buffer. Trees are walked one at a time, each row
+leaving the walk at its own leaf, instead of in one stacked walk.
 """
 
 import math
@@ -203,3 +204,38 @@ def reference_explainer_train(pool_sampler, config, rng):
         if smoothed < best_loss:
             best, best_loss = arrays, smoothed
     return best
+
+
+def tree_predict(tree, X):
+    """One tree's leaf values for the rows of X: (n,), or (n, d) for multi-output leaves.
+
+    Rows with ``x[feature] <= threshold`` go left; a row leaves the walk at its leaf.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty((X.shape[0],) + tree.value.shape[1:])
+    active = np.arange(X.shape[0])
+    nodes = np.zeros(X.shape[0], dtype=np.int64)
+    while active.size:
+        feat = tree.feature[nodes[active]]
+        leaf_mask = feat < 0
+        leaf_rows = active[leaf_mask]
+        out[leaf_rows] = tree.value[nodes[leaf_rows]]
+        active = active[~leaf_mask]
+        if not active.size:
+            break
+        cur = nodes[active]
+        goes_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+        nodes[active] = np.where(goes_left, tree.left[cur], tree.right[cur])
+    return out
+
+
+def forest_predict(trees, X):
+    """Mean of ``tree_predict`` over the trees, summed in tree order from the first.
+
+    Summing from zero instead gives the same bits unless a leaf value is -0.0,
+    which a class-1 frequency never is.
+    """
+    total = tree_predict(trees[0], X)
+    for tree in trees[1:]:
+        total = total + tree_predict(tree, X)
+    return total / len(trees)

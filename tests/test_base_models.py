@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import autodiff_train_mlp
+from oracles import autodiff_train_mlp, forest_predict, tree_predict
 from zeroshap import autodiff as ad
 from zeroshap import base_models as bm
 
@@ -162,7 +163,7 @@ def test_forest_single_tree_equals_cart_on_its_bootstrap():
     tree = bm._fit_tree(X[idx], y[idx], 8, tree_rng, bm._gini_best_split)
     for name in ("feature", "threshold", "left", "right", "value"):
         assert np.array_equal(getattr(forest.trees[0], name), getattr(tree, name))
-    np.testing.assert_array_equal(forest.predict_proba(X), tree.predict(X))
+    assert forest.predict_proba(X).tobytes() == tree_predict(tree, X).tobytes()
 
 
 def test_tree_multi_output_predict_matches_per_column_walks():
@@ -173,11 +174,11 @@ def test_tree_multi_output_predict_matches_per_column_walks():
     assert (tree.feature >= 0).sum() >= 3
     assert tree.value.shape == (tree.feature.size, 3)
     Xq = rng.normal(size=(25, 4))
-    out = tree.predict(Xq)
+    out = bm.stack_trees([tree]).predict(Xq)
     assert out.shape == (25, 3)
     for j in range(3):
         column = bm.Tree(tree.feature, tree.threshold, tree.left, tree.right, tree.value[:, j].copy())
-        assert np.array_equal(out[:, j], column.predict(Xq))
+        assert out[:, j].tobytes() == tree_predict(column, Xq).tobytes()
 
 
 def test_tree_purity_is_np_allclose_to_the_first_row():
@@ -208,8 +209,78 @@ def test_forest_tree_order_invariance():
     forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=8, seed=3))
     Xq = rng.normal(size=(20, 3))
     base = forest.predict_proba(Xq)
-    forest.trees = forest.trees[::-1]
-    np.testing.assert_allclose(forest.predict_proba(Xq), base, atol=1e-12)
+    backwards = bm.ForestModel(stack=bm.stack_trees(forest.trees[::-1]), config=forest.config, n_features=3)
+    np.testing.assert_allclose(backwards.predict_proba(Xq), base, atol=1e-12)
+
+
+def _on_splits(Q, trees, rng):
+    """Q with about half of each row's cells moved exactly onto a split threshold of their feature."""
+    splits = [(f, t) for tree in trees for f, t in zip(tree.feature, tree.threshold) if f >= 0]
+    if splits:
+        for i in range(Q.shape[0]):
+            for k in rng.integers(0, len(splits), size=Q.shape[1] // 2 + 1):
+                Q[i, splits[k][0]] = splits[k][1]
+    return Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 100), max_depth=st.integers(0, 9),
+       n_train=st.integers(2, 40), m=st.integers(1, 4), d=st.integers(0, 3), n_queries=st.integers(1, 300))
+@example(seed=0, n_trees=100, max_depth=9, n_train=2, m=2, d=0, n_queries=1)
+@example(seed=1, n_trees=100, max_depth=9, n_train=40, m=4, d=3, n_queries=1)
+def test_stacked_walk_equals_the_per_tree_walks(seed, n_trees, max_depth, n_train, m, d, n_queries):
+    """Bit for bit, against the per-tree oracle. d = 0 draws a forest classifier,
+    whose bootstraps of few rows are often single-class and grow constant
+    trees; d >= 1 draws regression trees with (n_nodes, d) leaves, which must
+    also come back from the stack unchanged. Query cells often sit exactly on
+    a threshold, and up to 300 rows split the trees into several blocks."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_train, m))
+    if d == 0:
+        y = rng.integers(0, 2, size=n_train).astype(float)
+        y[:2] = [0.0, 1.0]
+        forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=n_trees, max_depth=max_depth, seed=seed))
+        trees, predict = forest.trees, forest.predict_proba
+    else:
+        Y = rng.normal(size=(n_train, d))
+        trees = []
+        for _ in range(n_trees):
+            idx = rng.integers(0, n_train, size=n_train)
+            trees.append(bm._fit_tree(X[idx], Y[idx], max_depth, rng, bm._variance_best_split))
+        stack = bm.stack_trees(trees)
+        for tree, back in zip(trees, stack.unstack(), strict=True):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
+        predict = stack.predict
+    Q = _on_splits(rng.normal(size=(n_queries, m)), trees, rng)
+    out = predict(Q)
+    assert out.shape == (n_queries,) + ((d,) if d else ())
+    assert out.tobytes() == forest_predict(trees, Q).tobytes()
+
+
+def test_stacked_walk_takes_the_depth_of_its_trees_not_of_the_config(tmp_path):
+    rng = np.random.default_rng(19)
+    X = rng.normal(size=(80, 3))
+    y = (X[:, 0] * X[:, 1] > 0).astype(float)
+    forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=4, max_depth=6, seed=2))
+    assert forest.stack.depth == 6
+    from zeroshap.checkpoint import load_checkpoint, save_checkpoint
+
+    path = tmp_path / "forest.ckpt"
+    bm.save_model(path, forest)
+    arrays, config, _ = load_checkpoint(path)
+    config.update(max_depth=1)
+    save_checkpoint(path, "forest", arrays, config=config)
+    loaded = bm.load_model(path)
+    assert loaded.stack.depth == 6
+    assert loaded.predict_proba(X).tobytes() == forest.predict_proba(X).tobytes()
+
+
+def test_forest_needs_a_tree():
+    X = np.random.default_rng(20).normal(size=(10, 2))
+    y = (X[:, 0] > 0).astype(float)
+    with pytest.raises(ValueError, match="at least one tree"):
+        bm.train_forest(X, y, bm.ForestConfig(n_estimators=0))
 
 
 def test_scaler_standardizes():
@@ -264,6 +335,10 @@ def test_forest_checkpoint_roundtrip(tmp_path):
     bm.save_model(path, forest)
     loaded = bm.load_model(path)
     np.testing.assert_array_equal(loaded.predict_proba(X), forest.predict_proba(X))
+    # the trees come back from the stack as the builder wrote them
+    path2 = tmp_path / "forest2.ckpt"
+    bm.save_model(path2, loaded)
+    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_checkpoint_truncation_detected(tmp_path):

@@ -226,6 +226,25 @@ def test_shap_feature_count_mismatch_fails_cleanly(tmp_path, capsys, kind):
     assert not csv_out.exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("shap.n_permutations=0", "shap: n_permutations must be at least 1, got 0"),
+    ("shap.background_size=0", "shap: background_size must be at least 1, got 0"),
+])
+def test_shap_out_of_range_shap_key_fails_cleanly(tmp_path, capsys, override, message):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 2))
+    model = bm.train_forest(X, (X[:, 0] > 0).astype(float), bm.ForestConfig(n_estimators=3, max_depth=2))
+    model_path = tmp_path / "forest.ckpt"
+    bm.save_model(model_path, model)
+    csv_in = tmp_path / "rows.csv"
+    csv_in.write_text("x0,x1\n0.1,0.2\n0.3,0.4\n")
+    csv_out = tmp_path / "shap.csv"
+    code = cli.main(["shap", "--model", str(model_path), "--input", str(csv_in),
+                     "--output", str(csv_out), "--set", override])
+    _fails_cleanly(code, capsys, "config error: ", message)
+    assert not csv_out.exists()
+
+
 def test_benchmark_table_structure(workspace):
     # the two benchmark tasks have n = 32 and 31 rows: k = 31 scores task 0 only
     root, config = workspace
@@ -435,10 +454,19 @@ OUT_OF_RANGE = [
     ("generate", "gen.m_max=-1", "gen: m_max must be at least 1"),
     ("generate", "gen.n_range=40:30", "gen: n_range must be non-empty"),
     ("generate", "gen.node_range=1:4", "gen: node_range must be within [2, 64]"),
+    ("generate", "gen.n_range=4:8", "gen: n_range must be non-empty with at least 8 rows"),
+    ("generate", "gen.redirect_dist=foo", "gen: unknown redirect_dist 'foo'"),
+    ("generate", "gen.connect_prob=7", "gen: connect_prob must be within [0, 1], got 7.0"),
+    ("generate", "gen.max_subgraphs=0", "gen: max_subgraphs must be at least 1, got 0"),
+    ("generate", "gen.n_range=10:12", "base: an mlp base model needs at least 16 training rows"),
+    ("generate", "shap.n_permutations=0", "shap: n_permutations must be at least 1, got 0"),
+    ("generate", "shap.background_size=0", "shap: background_size must be at least 1, got 0"),
+    ("generate", "shap.exact_prob=3", "shap: exact_prob must be within [0, 1], got 3.0"),
     ("benchmark", "benchmark.methods=zero_shot,lasso", "benchmark.methods = 'zero_shot,lasso'"),
     ("benchmark", "benchmark.kshots=0,90", "benchmark.kshots = '0,90': each must be a reference count in [0, 32]"),
     ("benchmark", "benchmark.base_kinds=mlp,svm", "benchmark.base_kinds = 'mlp,svm'"),
     ("benchmark", "benchmark.n_tasks=0", "benchmark.n_tasks must be at least 1"),
+    ("benchmark", "gen.n_range=10:12", "benchmark.base_kinds includes mlp, which needs at least 16"),
     ("dag-recover", "dag.node_range=5:4", "gen and dag.node_range: node_range must be within [2, 64]"),
 ]
 

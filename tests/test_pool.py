@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import forest_predict
 from zeroshap import pool as pl
-from zeroshap.base_models import MlpConfig
+from zeroshap.base_models import ForestModel, MlpConfig
 from zeroshap.scm import TaskGenConfig, sample_task
 from zeroshap.shapley import ShapConfig
 
@@ -226,6 +227,25 @@ def test_build_pool_entry_deterministic():
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.phi, b.phi)
     assert a.provenance == b.provenance
+
+
+@pytest.mark.parametrize("task_index", [1, 3], ids=["permutation", "exact"])
+def test_forest_pool_entry_equals_the_per_tree_walk(tmp_path, monkeypatch, task_index):
+    """The stacked forest walk changes no bit of a forest pool entry (n = 34 and 47, m = 4)."""
+    cfg = pl.PoolBuildConfig(gen=FAST_GEN, base_kind="forest")
+    shipped = pl.build_pool_entry(7, task_index, cfg)
+    monkeypatch.setattr(ForestModel, "predict_proba", lambda self, X: forest_predict(self.trees, X))
+    walked = pl.build_pool_entry(7, task_index, cfg)
+    assert shipped.m == 4
+    for name in ("phi", "y_hat"):
+        assert getattr(shipped, name).tobytes() == getattr(walked, name).tobytes()
+    assert np.float64(shipped.base_value).tobytes() == np.float64(walked.base_value).tobytes()
+    for side, triplet in (("shipped", shipped), ("walked", walked)):
+        (tmp_path / side).mkdir()
+        pl.pool_write(tmp_path / side, task_index, triplet)
+    for suffix in (".bin", ".json"):
+        name = f"{task_index}{suffix}"
+        assert (tmp_path / "shipped" / name).read_bytes() == (tmp_path / "walked" / name).read_bytes()
 
 
 def test_generate_pool_worker_count_independent(tmp_path):
