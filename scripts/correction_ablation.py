@@ -18,7 +18,6 @@ import numpy as np
 from zeroshap import explainer as ex
 from zeroshap import pool as pl
 from zeroshap import postprocess as pp
-from zeroshap.config import RunConfig
 from zeroshap.metrics import pearson
 
 VARIANTS = {
@@ -38,7 +37,7 @@ def main() -> int:
     args = parser.parse_args()
 
     weights = ex.load_weights(args.checkpoint)
-    cfg = RunConfig.load(None).pool_build_config()  # the generate subcommand's defaults
+    cfg = pl.PoolBuildConfig()  # the generate subcommand's defaults
     scores = {name: [] for name in VARIANTS}
     rows = []
     for i in range(args.n_tasks):

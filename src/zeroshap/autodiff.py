@@ -10,7 +10,8 @@ on distinct threads share no mutable state but the node-uid source, an
 unique across threads.
 
 Also the one Adam step, over the flat parameter buffer of every trained
-model, and the finite-difference gradient check.
+model. The finite-difference gradient check that guards the backward rules
+lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 import numpy as np
 
 _UIDS = itertools.count(1)  # creation order, which is topological
+# added to the variance by ``layer_norm``; the explainer's numpy replay of the graph reads it too
+LN_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -207,13 +210,13 @@ def softmax(x) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=backward if _needs_grad(x) else None, _op="softmax")
 
 
-def layer_norm(x, eps: float = 1e-5) -> Tensor:
+def layer_norm(x) -> Tensor:
     """Normalize over the last axis to zero mean, unit variance (no affine)."""
     x = _as_tensor(x)
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
 
     def backward(grad):
@@ -342,49 +345,6 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     theta -= num
 
 
-# ---- gradient verification ----
-
-
-def finite_difference_check(
-    loss_fn,
-    params: dict[str, Tensor],
-    step: float = 1e-5,
-    max_coords_per_param: int | None = None,
-    rel_floor: float = 1e-6,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Worst-case relative deviation between analytic and central-difference gradients.
-
-    ``loss_fn(params)`` must rebuild the graph and return a scalar Tensor.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    loss = loss_fn(params)
-    loss.backward()
-    analytic = {name: params[name].grad.copy() for name in params}
-
-    worst = 0.0
-    for name in sorted(params):
-        p = params[name]
-        flat = p.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if max_coords_per_param is not None and flat.size > max_coords_per_param:
-            gen = rng if rng is not None else np.random.default_rng(0)
-            coords = gen.choice(flat.size, size=max_coords_per_param, replace=False)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_fn(params).item()
-            flat[i] = orig - step
-            down = loss_fn(params).item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            a = analytic[name].reshape(-1)[i]
-            denom = max(abs(a), abs(numeric), rel_floor)
-            worst = max(worst, abs(a - numeric) / denom)
-    return worst
-
-
-def xavier_init(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
+def xavier_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     scale = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, scale, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.normal(0.0, scale, size=(fan_in, fan_out))

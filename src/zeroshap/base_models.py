@@ -59,10 +59,21 @@ def transform(stats: ScalerStats, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MlpConfig:
+    """Hidden widths (none: a logistic readout), full-batch epochs and the initial learning rate;
+    the defaults are the CLI's ``base.*`` defaults."""
+
     hidden_sizes: tuple[int, ...] = (100,)
-    epochs: int = 2000
+    epochs: int = 800
     lr0: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if not self.lr0 > 0:
+            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ValueError(f"every hidden width must be at least 1, got {self.hidden_sizes}")
 
 
 @dataclass
@@ -82,8 +93,13 @@ class MlpModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) inputs, got {X.shape}")
         h = X
+        # one (rows, width) array per layer, updated in place: with three, whether glibc handed
+        # the freed heap top back to the OS, to fault it in again on the next call, hung on the
+        # heap's layout
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
+            h = h @ W
+            h += b
+            np.maximum(h, 0.0, out=h)
         logits = (h @ self.weights[-1] + self.biases[-1]).ravel()
         return 1.0 / (1.0 + np.exp(-logits))
 
@@ -517,7 +533,7 @@ def load_model(path):
             fits = bool(trees) and all(_tree_fits(tree, n_features) for tree in trees)
             # stacking needs trees that fit, so it waits for the check
             model = ForestModel(stack=stack_trees(trees), config=cfg, n_features=n_features) if fits else None
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise CheckpointError(f"{path}: not a base-model checkpoint ({type(exc).__name__}: {exc})") from exc
     if not fits:
         kind = "MlpModel" if "n_layers" in config else "ForestModel"

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,8 @@ def _shap_reference(predict_fn, X, cfg: RunConfig, rng, seed: int):
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     n_tasks = args.n_tasks if args.n_tasks is not None else cfg.get_int("pool.n_tasks")
+    if n_tasks < 0:
+        raise ConfigError(f"the task count (--n-tasks or pool.n_tasks) must not be negative, got {n_tasks}")
     workers = args.workers if args.workers is not None else cfg.get_int("pool.workers")
     pool_dir = Path(args.pool or cfg.pool_path)
     generate_pool(pool_dir, n_tasks, cfg.seed, cfg.pool_build_config(), workers=workers,
@@ -138,8 +141,17 @@ def cmd_train(args) -> int:
     checkpoint = Path(args.checkpoint or out_dir / "explainer.ckpt")
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(STAGE_TRAIN,))
     sampler_seq, train_seq = seq.spawn(2)
-    sampler = make_pool_sampler(pool_dir, np.random.default_rng(sampler_seq))
-    weights = train(sampler, cfg.explainer_config(), np.random.default_rng(train_seq),
+    explainer_cfg = cfg.explainer_config()
+    draw = make_pool_sampler(pool_dir, np.random.default_rng(sampler_seq))
+
+    def sampler():
+        triplet = draw()
+        if triplet.m > explainer_cfg.max_features:
+            raise ConfigError(f"pool {pool_dir} holds an entry with {triplet.m} features, more than "
+                              f"explainer.max_features = {explainer_cfg.max_features}")
+        return triplet
+
+    weights = train(sampler, explainer_cfg, np.random.default_rng(train_seq),
                     log_every=0 if args.quiet else 200)
     save_weights(checkpoint, weights)
     write_json(out_dir / "train_report.json", {
@@ -207,19 +219,29 @@ def _eval_base_model(kind: str, X, y, cfg: RunConfig, seed: int):
     return bm.train_forest(X, y, bm.ForestConfig(seed=seed)).predict_proba  # kinds are checked on entry
 
 
+def _widest_task(gen_cfg) -> int:
+    """The most features a task of ``gen_cfg`` can have: one node is the target."""
+    return min(gen_cfg.m_max, gen_cfg.node_range[1] - 1)
+
+
 def _check_sweep(n_tasks: int, methods: list[str], base_kinds: list[str], kshots: list[int],
-                 min_rows: int) -> None:
+                 eval_epochs: int, gen_cfg, max_features: int) -> None:
     if n_tasks < 1:
         raise ConfigError(f"benchmark.n_tasks must be at least 1, got {n_tasks}")
+    if eval_epochs < 1:
+        raise ConfigError(f"benchmark.eval_epochs must be at least 1, got {eval_epochs}")
+    if _widest_task(gen_cfg) > max_features:
+        raise ConfigError(f"gen.m_max and gen.node_range allow tasks with {_widest_task(gen_cfg)} features, "
+                          f"but the checkpoint explains at most {max_features}")
     known = ["zero_shot", *MIN_REFS]
     if not methods or any(method not in known for method in methods):
         raise ConfigError(f"benchmark.methods = {','.join(methods)!r}: each must be one of {', '.join(known)}")
     if not base_kinds or any(kind not in bm.BASE_KINDS for kind in base_kinds):
         raise ConfigError(f"benchmark.base_kinds = {','.join(base_kinds)!r}: each must be one of "
                           f"{', '.join(bm.BASE_KINDS)}")
-    if "mlp" in base_kinds and min_rows < bm.MLP_MIN_ROWS:
+    if "mlp" in base_kinds and gen_cfg.n_range[0] < bm.MLP_MIN_ROWS:
         raise ConfigError(f"benchmark.base_kinds includes mlp, which needs at least {bm.MLP_MIN_ROWS} "
-                          f"training rows, but gen.n_range starts at {min_rows}")
+                          f"training rows, but gen.n_range starts at {gen_cfg.n_range[0]}")
     if not kshots or any(not 0 <= k <= MAX_REFERENCES for k in kshots):
         raise ConfigError(f"benchmark.kshots = {','.join(map(str, kshots))!r}: each must be a reference "
                           f"count in [0, {MAX_REFERENCES}]")
@@ -239,11 +261,12 @@ def cmd_benchmark(args) -> int:
     methods = cfg.get_str_list("benchmark.methods")
     base_kinds = cfg.get_str_list("benchmark.base_kinds")
     gen_cfg = cfg.task_gen_config()
-    _check_sweep(n_tasks, methods, base_kinds, kshots, gen_cfg.n_range[0])
+    weights = _load_explainer(args, cfg)
+    _check_sweep(n_tasks, methods, base_kinds, kshots, cfg.get_int("benchmark.eval_epochs"), gen_cfg,
+                 weights.config.max_features)
     # zero-shot takes no references, a surrogate at least two
     runs = [(method, k) for method in methods for k in kshots
             if (k == 0 if method == "zero_shot" else k >= 2)]
-    weights = _load_explainer(args, cfg)
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -322,8 +345,13 @@ def cmd_dag_recover(args) -> int:
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     budgets = cfg.get_int_list("dag.edge_budgets")
-    gen_cfg = cfg.task_gen_config(node_range_key="dag.node_range")
-    gen_cfg.m_max = weights.config.max_features - 1
+    # each pass explains the m - 1 features left once one column stands in for the prediction
+    gen_cfg = replace(cfg.task_gen_config(node_range_key="dag.node_range"),
+                      m_max=weights.config.max_features + 1)
+    if _widest_task(gen_cfg) < 2:
+        raise ConfigError(f"edge recovery needs tasks with at least two features, but dag.node_range and "
+                          f"the checkpoint's max_features = {weights.config.max_features} allow "
+                          f"{_widest_task(gen_cfg)}")
     n_tasks = cfg.get_int("dag.n_tasks")
 
     per_task = []

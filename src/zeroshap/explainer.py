@@ -72,12 +72,6 @@ class ExplainerConfig:
 
 
 @dataclass
-class StandardizationStats:
-    mu: float
-    sigma: float
-
-
-@dataclass
 class ExplainerWeights:
     params: dict[str, ad.Tensor]
     config: ExplainerConfig
@@ -90,15 +84,15 @@ def bucket_index(targets: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2)
 
 
-def standardize_targets(phi: np.ndarray) -> tuple[np.ndarray, StandardizationStats]:
-    """Standardize all attribution entries of one task by their global mean/std."""
+def standardize_targets(phi: np.ndarray) -> np.ndarray:
+    """Standardize all attribution entries of one task by their global mean/std; a
+    constant matrix maps to zeros."""
     phi = np.asarray(phi, dtype=np.float64)
     if phi.size == 0:
         raise ValueError("empty attribution matrix")
-    mu = float(phi.mean())
     if np.all(phi == phi.flat[0]):
-        return np.zeros_like(phi), StandardizationStats(mu=mu, sigma=1.0)
-    return (phi - mu) / phi.std(), StandardizationStats(mu=mu, sigma=float(phi.std()))
+        return np.zeros_like(phi)
+    return (phi - float(phi.mean())) / phi.std()
 
 
 def point_estimate(probs: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -222,9 +216,9 @@ def _forward_graph(params: dict[str, ad.Tensor], slots: np.ndarray, n_active_slo
 
 
 def _ln_affine_numpy(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``_ln_affine`` in the op order of ``ad.layer_norm``, with its default eps."""
+    """``_ln_affine`` in the op order of ``ad.layer_norm``, with its eps."""
     centered = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-5)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + ad.LN_EPS)
     return centered * inv * gain + bias
 
 
@@ -355,7 +349,7 @@ def _training_loss_graph(params, slots, n_active, targets, config) -> ad.Tensor:
 def _task_step_loss(params, triplet, config, grads) -> float:
     """Mean NLPD over one task's features; sums each feature's backward sweep into
     ``grads`` (flat-buffer views in ``params`` order), feature 0 first."""
-    phi_std, _ = standardize_targets(triplet.phi)
+    phi_std = standardize_targets(triplet.phi)
     m = triplet.m
     total = 0.0
     for j in range(m):

@@ -43,13 +43,13 @@ def default_topk(m: int) -> int:
     return max(1, m // 3)
 
 
-def mean_jaccard_topk(phi_a: np.ndarray, phi_b: np.ndarray, k: int | None = None) -> float:
-    """Per-instance Jaccard top-k, averaged over rows."""
+def mean_jaccard_topk(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
+    """Per-instance Jaccard top-k at k = ``default_topk(m)``, averaged over rows."""
     phi_a = np.asarray(phi_a, dtype=np.float64)
     phi_b = np.asarray(phi_b, dtype=np.float64)
     if phi_a.shape != phi_b.shape:
         raise ValueError("attribution matrices must share a shape")
-    k = default_topk(phi_a.shape[1]) if k is None else k
+    k = default_topk(phi_a.shape[1])
     return float(np.mean([jaccard_topk(phi_a[i], phi_b[i], k) for i in range(phi_a.shape[0])]))
 
 

@@ -28,6 +28,8 @@ from .shapley import ShapConfig, hybrid_shapley, subsample_background
 POOL_FORMAT_VERSION = 1
 # draws between two listings of the pool directory by a sampler
 REFRESH_EVERY = 16
+# tasks ``build_pool_entry`` draws for one index, each from its own seed, before it rejects the index
+ENTRY_ATTEMPTS = 10
 
 
 class PoolError(IOError):
@@ -274,7 +276,6 @@ class PoolBuildConfig:
     exact_prob: float = 0.7
     n_permutations: int = 200
     background_size: int = 64
-    max_attempts: int = 10
 
     def __post_init__(self):
         if self.base_kind not in BASE_KINDS:
@@ -290,7 +291,7 @@ class PoolBuildConfig:
 
 def build_pool_entry(master_seed: int, task_index: int, cfg: PoolBuildConfig) -> TrainingTriplet:
     """Deterministic per (master_seed, task_index), whatever the worker layout."""
-    for attempt in range(cfg.max_attempts):
+    for attempt in range(ENTRY_ATTEMPTS):
         seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(task_index, attempt))
         children = seq.spawn(2)
         task_seed = int(np.random.default_rng(children[0]).integers(0, 2**63))
@@ -310,7 +311,7 @@ def build_pool_entry(master_seed: int, task_index: int, cfg: PoolBuildConfig) ->
             )
         except TaskRejected:
             continue
-    raise TaskRejected(f"task index {task_index} rejected {cfg.max_attempts} times")
+    raise TaskRejected(f"task index {task_index} rejected {ENTRY_ATTEMPTS} times")
 
 
 def _entry_worker(args) -> str:

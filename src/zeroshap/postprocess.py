@@ -34,12 +34,11 @@ def recenter(phi: np.ndarray) -> np.ndarray:
     return phi - phi.mean()
 
 
-def rescale(phi: np.ndarray, y_hat: np.ndarray, m: int | None = None) -> np.ndarray:
+def rescale(phi: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     """Scale all entries so Std(phi) becomes Std(y_hat) / sqrt(m)."""
     phi = np.asarray(phi, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64).ravel()
-    m = phi.shape[1] if m is None else m
-    target = y_hat.std() / np.sqrt(m)
+    target = y_hat.std() / np.sqrt(phi.shape[1])
     if target == 0.0:
         warnings.warn("constant predictions: rescaling attributions to zero")
         return np.zeros_like(phi)
@@ -63,8 +62,7 @@ def efficiency_correct(phi: np.ndarray, y_hat: np.ndarray, base_value: float | N
 
 
 def full_pipeline(phi: np.ndarray, y_hat: np.ndarray,
-                  config: CorrectionConfig | None = None,
-                  base_value: float | None = None) -> np.ndarray:
+                  config: CorrectionConfig | None = None) -> np.ndarray:
     """Recenter, rescale, then instance-level efficiency, honoring the flags."""
     config = config or CorrectionConfig()
     out = np.asarray(phi, dtype=np.float64).copy()
@@ -73,5 +71,5 @@ def full_pipeline(phi: np.ndarray, y_hat: np.ndarray,
     if config.enable_rescale:
         out = rescale(out, y_hat)
     if config.enable_efficiency:
-        out = efficiency_correct(out, y_hat, base_value=base_value)
+        out = efficiency_correct(out, y_hat)
     return out

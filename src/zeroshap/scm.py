@@ -2,9 +2,12 @@
 
 DAGs are grown with the growing-network-with-redirection rule: nodes arrive
 sequentially, pick a uniform existing node, and either attach to it or (with
-probability p, drawn once per graph) redirect to that node's parent. Node
+probability p, drawn once per graph) redirect to that node's parent. Up to
+``max_subgraphs`` blocks are grown apart and may stay disconnected. Node
 values are noise propagated through per-edge nonlinear activations; the
-materialized columns are standardized per node.
+materialized columns are standardized per node. A task is a draw of feature
+nodes and a target node thresholded into two classes; a draw that yields a
+constant column or single-class labels is retried from a fresh stream.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ _LOG_EPS = 1e-8
 REDIRECT_DISTS = ("gamma", "uniform", "zero")
 # fewest rows ``propagate`` materializes
 MIN_SAMPLES = 8
+# shape and scale of the "gamma" rule's draw of p, which has mean 0.3 before clipping to [0, 1]
+REDIRECT_GAMMA_SHAPE = 2.0
+REDIRECT_GAMMA_SCALE = 0.15
+# draws ``sample_task`` makes, each on its own stream, before it rejects a seed
+TASK_ATTEMPTS = 16
 
 
 def sample_activation_tag(rng: np.random.Generator) -> str:
@@ -113,7 +121,6 @@ class DagSpec:
     edges: list[tuple[int, int]]
     edge_activation: list[str]
     noise_dist: list[str]
-    subgraph_id: list[int]
 
     def __post_init__(self):
         if len(self.edges) != len(self.edge_activation):
@@ -204,8 +211,6 @@ def sample_dag(
     redirect_dist: str = "gamma",
     max_subgraphs: int = 1,
     connect_prob: float = 0.5,
-    gamma_shape: float = 2.0,
-    gamma_scale: float = 0.15,
 ) -> DagSpec:
     """Sample a DAG by sequential growth with redirection.
 
@@ -217,7 +222,7 @@ def sample_dag(
     n_nodes = int(rng.integers(node_range[0], node_range[1] + 1))
 
     if redirect_dist == "gamma":
-        p = float(np.clip(rng.gamma(gamma_shape, gamma_scale), 0.0, 1.0))
+        p = float(np.clip(rng.gamma(REDIRECT_GAMMA_SHAPE, REDIRECT_GAMMA_SCALE), 0.0, 1.0))
     elif redirect_dist == "uniform":
         p = float(rng.uniform(0.0, 1.0))
     elif redirect_dist == "zero":
@@ -257,31 +262,7 @@ def sample_dag(
         accumulated.extend(block)
 
     noise = ["normal" if rng.uniform() < 0.5 else "uniform" for _ in range(n_nodes)]
-    return DagSpec(
-        node_count=n_nodes,
-        edges=edges,
-        edge_activation=activations,
-        noise_dist=noise,
-        subgraph_id=_component_labels(n_nodes, edges),
-    )
-
-
-def _component_labels(n_nodes: int, edges: list[tuple[int, int]]) -> list[int]:
-    label = list(range(n_nodes))
-
-    def find(i):
-        while label[i] != i:
-            label[i] = label[label[i]]
-            i = label[i]
-        return i
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            label[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(i) for i in range(n_nodes)})
-    remap = {r: k for k, r in enumerate(roots)}
-    return [remap[find(i)] for i in range(n_nodes)]
+    return DagSpec(node_count=n_nodes, edges=edges, edge_activation=activations, noise_dist=noise)
 
 
 def _draw_noise(rng, dist: str, n: int) -> np.ndarray:
@@ -363,15 +344,14 @@ def select_task(
 
 @dataclass
 class TaskGenConfig:
-    """Knobs for the synthetic task generator."""
+    """Knobs for the synthetic task generator; the defaults are the CLI's ``gen.*`` defaults."""
 
-    node_range: tuple[int, int] = (2, 10)
-    n_range: tuple[int, int] = (64, 256)
-    m_max: int = 10
+    node_range: tuple[int, int] = (2, 8)
+    n_range: tuple[int, int] = (48, 128)
+    m_max: int = 5
     redirect_dist: str = "gamma"
     max_subgraphs: int = 2
     connect_prob: float = 0.5
-    child_noise_scale: float = 1.0
 
     def __post_init__(self):
         _check_node_range(self.node_range)
@@ -389,10 +369,10 @@ class TaskGenConfig:
             raise ValueError(f"connect_prob must be within [0, 1], got {self.connect_prob}")
 
 
-def sample_task(seed: int, cfg: TaskGenConfig | None = None, max_attempts: int = 16) -> ScmTask:
+def sample_task(seed: int, cfg: TaskGenConfig | None = None) -> ScmTask:
     """Draw one full task from a per-task seed, retrying rejected samples."""
     cfg = cfg or TaskGenConfig()
-    for attempt in range(max_attempts):
+    for attempt in range(TASK_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         try:
             dag = sample_dag(
@@ -403,8 +383,8 @@ def sample_task(seed: int, cfg: TaskGenConfig | None = None, max_attempts: int =
                 connect_prob=cfg.connect_prob,
             )
             n_samples = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-            values = propagate(dag, n_samples, rng, child_noise_scale=cfg.child_noise_scale)
+            values = propagate(dag, n_samples, rng)
             return select_task(dag, values, rng, m_max=cfg.m_max, seed=seed)
         except (TaskRejected, DegenerateColumn):
             continue
-    raise TaskRejected(f"no valid task after {max_attempts} attempts for seed {seed}")
+    raise TaskRejected(f"no valid task after {TASK_ATTEMPTS} attempts for seed {seed}")

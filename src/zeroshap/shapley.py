@@ -99,17 +99,14 @@ def exact_shapley(predict_fn, x: np.ndarray, background: np.ndarray,
             f"{m} features exceeds the exact enumeration limit of {max_features}; use permutation sampling"
         )
     members = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
-    values = _coalition_values(predict_fn, x, members, background).tolist()
-    weights = [shapley_weight(s, m) for s in range(m)]
+    values = _coalition_values(predict_fn, x, members, background)
+    weights = np.array([shapley_weight(s, m) for s in range(m)])
+    # every (coalition, feature outside it) pair, coalition-major
+    mask, j = np.nonzero(~members)
+    terms = weights[members.sum(axis=1)[mask]] * (values[mask | (1 << j)] - values[mask])
     phi = np.zeros(m)
-    for mask in range(1 << m):
-        size = bin(mask).count("1")
-        base = values[mask]
-        for j in range(m):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            phi[j] += weights[size] * (values[mask | bit] - base)
+    # np.add.at adds in index order: per feature, the terms in coalition order
+    np.add.at(phi, j, terms)
     return phi
 
 

@@ -6,7 +6,8 @@ no coalition caching or reuse; the reference MLP fits take their gradients
 from the autodiff graph instead of the hand-written backward pass; and the
 reference Adam and explainer training loop step one parameter array at a
 time instead of one flat buffer. Trees are walked one at a time, each row
-leaving the walk at its own leaf, instead of in one stacked walk.
+leaving the walk at its own leaf, instead of in one stacked walk. The
+autodiff graph's gradients are checked against central differences.
 """
 
 import math
@@ -167,6 +168,32 @@ def autodiff_fit_mlp_regressor(refs, rng):
     return {name: p.data for name, p in params.items()}
 
 
+def finite_difference_check(loss_fn, params, step=1e-5):
+    """Worst-case relative deviation between analytic and central-difference gradients
+    over every coordinate; a deviation is relative to the larger magnitude, floored at 1e-6.
+
+    ``loss_fn(params)`` must rebuild the graph and return a scalar Tensor.
+    """
+    loss = loss_fn(params)
+    loss.backward()
+    analytic = {name: params[name].grad.copy() for name in params}
+
+    worst = 0.0
+    for name in sorted(params):
+        flat = params[name].data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = loss_fn(params).item()
+            flat[i] = orig - step
+            down = loss_fn(params).item()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * step)
+            a = analytic[name].reshape(-1)[i]
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
+    return worst
+
+
 def reference_explainer_train(pool_sampler, config, rng):
     """``explainer.train``'s loop with per-parameter gradients: each feature's
     gradients summed into a dict in feature order, divided by m, and stepped by
@@ -185,7 +212,7 @@ def reference_explainer_train(pool_sampler, config, rng):
         for step in range(config.train_steps):
             lr = peak_lr * 0.5 * (1.0 + math.cos(math.pi * step / config.train_steps))
             triplet = pool_sampler()
-            phi_std, _ = ex.standardize_targets(triplet.phi)
+            phi_std = ex.standardize_targets(triplet.phi)
             grad_acc, total = {}, 0.0
             for j in range(triplet.m):
                 slots = ex.encode_rows(triplet.X, triplet.y_hat, j, config)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mlp
-from oracles import brute_force_shapley
+from oracles import brute_force_shapley, finite_difference_check
 from zeroshap import base_models as bm
 from zeroshap import cli
 from zeroshap import explainer as ex
@@ -28,10 +28,7 @@ from zeroshap.surrogates import ReferenceSet, fit_surrogate, predict_surrogate
 MASTER_SEED = 42
 HELDOUT_SEED = 4242
 
-POOL_CFG = pl.PoolBuildConfig(
-    gen=TaskGenConfig(node_range=(2, 8), n_range=(48, 128), m_max=5, max_subgraphs=2),
-    base=bm.MlpConfig(epochs=800),
-)
+POOL_CFG = pl.PoolBuildConfig()  # the generate subcommand's defaults
 
 TRAIN_CFG = ex.ExplainerConfig(train_steps=3000, restarts=3, lr_low=1e-5, lr_high=1e-4)
 
@@ -206,7 +203,7 @@ def test_criterion_05_gradient_and_nlpd():
             total = loss if total is None else ad.add(total, loss)
         return ad.multiply(total, 0.5)
 
-    err = ad.finite_difference_check(loss_fn, params, step=1e-5)
+    err = finite_difference_check(loss_fn, params, step=1e-5)
 
     edges = cfg.bucket_edges()
     targets = rng.normal(size=9)

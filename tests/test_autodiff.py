@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import ReferenceAdamState, reference_adam_step
+from oracles import ReferenceAdamState, finite_difference_check, reference_adam_step
 from zeroshap import autodiff as ad
 
 
@@ -80,7 +80,7 @@ def test_finite_difference_three_layer_mlp():
     def loss_fn(p):
         return _mlp_loss({**p, "_x": params["_x"]})
 
-    err = ad.finite_difference_check(loss_fn, trainable, step=1e-5)
+    err = finite_difference_check(loss_fn, trainable, step=1e-5)
     assert err < 1e-4
 
 
@@ -92,7 +92,7 @@ def test_finite_difference_linear_exact():
     def loss_fn(p):
         return ad.reduce_mean(ad.matmul(ad.Tensor(x), p["w"]))
 
-    assert ad.finite_difference_check(loss_fn, params, step=1e-5) < 1e-8
+    assert finite_difference_check(loss_fn, params, step=1e-5) < 1e-8
 
 
 def test_finite_difference_softmax_log():
@@ -106,7 +106,7 @@ def test_finite_difference_softmax_log():
         picked = ad.multiply(ad.reduce_mean(ad.multiply(probs, ad.Tensor(onehot)), axis=-1), 4.0)
         return ad.multiply(ad.reduce_mean(ad.log(picked)), -1.0)
 
-    assert ad.finite_difference_check(loss_fn, params, step=1e-5) < 1e-4
+    assert finite_difference_check(loss_fn, params, step=1e-5) < 1e-4
 
 
 def test_finite_difference_layer_norm_embedding():
@@ -122,7 +122,7 @@ def test_finite_difference_layer_norm_embedding():
         normed = ad.layer_norm(emb)
         return ad.reduce_mean(ad.multiply(ad.matmul(normed, p["w"]), 1.0))
 
-    assert ad.finite_difference_check(loss_fn, params, step=1e-5) < 1e-4
+    assert finite_difference_check(loss_fn, params, step=1e-5) < 1e-4
 
 
 def test_adam_zero_gradient_fixed_point():
@@ -194,7 +194,7 @@ def test_transpose_reshape_roundtrip_gradients():
         r = ad.reshape(t, (3, 8))
         return ad.reduce_mean(ad.multiply(r, r))
 
-    assert ad.finite_difference_check(loss_fn, params, step=1e-5) < 1e-6
+    assert finite_difference_check(loss_fn, params, step=1e-5) < 1e-6
 
 
 def test_sigmoid_composition_matches_closed_form():

@@ -364,6 +364,22 @@ def test_eval_variant_two_hidden_layers():
     assert model.weights[1].shape == (12, 12)
 
 
+def test_mlp_without_hidden_layers_is_a_logistic_readout():
+    X, y = _separable(n=40)
+    model = bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(), epochs=5))
+    assert [w.shape for w in model.weights] == [(2, 1)]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"epochs": 0}, "epochs must be at least 1"),
+    ({"lr0": -1e-3}, "lr0 must be positive"),
+    ({"hidden_sizes": (8, 0)}, "every hidden width must be at least 1"),
+], ids=["no-epochs", "negative-lr0", "zero-width"])
+def test_mlp_config_rejects_out_of_range_values(fields, message):
+    with pytest.raises(ValueError, match=message):
+        bm.MlpConfig(**fields)
+
+
 def _small_models():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(40, 3))
@@ -394,9 +410,10 @@ def _set_array(name, edit):
     ("mlp", _set_array("w1", lambda a: a[:2]), "MlpModel"),
     ("mlp", _set_array("w0", lambda a: a.ravel()), "IndexError"),
     ("mlp", _set_array("b1", lambda a: a / 0.0), "MlpModel"),
+    ("mlp", lambda arrays, config: config.update(lr0=0.0), "lr0 must be positive"),
 ], ids=["no-n-estimators", "no-tree-array", "no-trees", "cyclic-link", "feature-out-of-range",
         "short-value", "nan-value", "no-hidden-sizes", "no-bias", "extra-layer", "width-mismatch",
-        "flat-weights", "inf-bias"])
+        "flat-weights", "inf-bias", "zero-lr0"])
 def test_load_model_rejects_checkpoints_that_do_not_fit(tmp_path, kind, corrupt, message):
     from zeroshap.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 

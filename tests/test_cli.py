@@ -8,6 +8,8 @@ import pytest
 from zeroshap import base_models as bm
 from zeroshap import cli
 from zeroshap.config import ConfigError, RunConfig
+from zeroshap.explainer import ExplainerConfig
+from zeroshap.pool import PoolBuildConfig
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,12 @@ def test_config_parsing_and_overrides(tmp_path):
     assert cfg.get_int("pool.n_tasks") == 5
     assert cfg.get_int("gen.m_max") == 2
     assert cfg.get_range("gen.node_range") == (2, 8)
+
+
+def test_python_defaults_are_the_cli_defaults():
+    cfg = RunConfig.load(None)
+    assert cfg.pool_build_config() == PoolBuildConfig()
+    assert cfg.explainer_config() == ExplainerConfig()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -450,6 +458,12 @@ OUT_OF_RANGE = [
     ("train", "explainer.n_heads=3", "explainer: embed_dim must be divisible by n_heads"),
     ("train", "explainer.train_steps=0", "explainer: train_steps and restarts must be at least 1"),
     ("train", "explainer.restarts=0", "explainer: train_steps and restarts must be at least 1"),
+    ("train", "explainer.max_features=1", "features, more than explainer.max_features = 1"),
+    ("generate", "pool.n_tasks=-2", "pool.n_tasks) must not be negative, got -2"),
+    ("generate", "base.epochs=-1", "base: epochs must be at least 1, got -1"),
+    ("generate", "base.epochs=0", "base: epochs must be at least 1, got 0"),
+    ("generate", "base.lr0=0", "base: lr0 must be positive, got 0.0"),
+    ("generate", "base.hidden_sizes=0", "base: every hidden width must be at least 1, got (0,)"),
     ("generate", "base.kind=svm", "base: unknown base kind 'svm'"),
     ("generate", "gen.m_max=-1", "gen: m_max must be at least 1"),
     ("generate", "gen.n_range=40:30", "gen: n_range must be non-empty"),
@@ -467,7 +481,9 @@ OUT_OF_RANGE = [
     ("benchmark", "benchmark.base_kinds=mlp,svm", "benchmark.base_kinds = 'mlp,svm'"),
     ("benchmark", "benchmark.n_tasks=0", "benchmark.n_tasks must be at least 1"),
     ("benchmark", "gen.n_range=10:12", "benchmark.base_kinds includes mlp, which needs at least 16"),
+    ("benchmark", "benchmark.eval_epochs=0", "benchmark.eval_epochs must be at least 1, got 0"),
     ("dag-recover", "dag.node_range=5:4", "gen and dag.node_range: node_range must be within [2, 64]"),
+    ("dag-recover", "dag.node_range=2:2", "edge recovery needs tasks with at least two features"),
 ]
 
 
@@ -484,3 +500,38 @@ def test_out_of_range_config_value_fails_cleanly(workspace, tmp_path, capsys, mo
                      *extra.get(command, [])])
     _fails_cleanly(code, capsys, "config error: ", message)
     assert list(tmp_path.iterdir()) == []
+
+
+def _narrow_checkpoint(root, tmp_path, max_features):
+    """The workspace explainer cut down to ``max_features`` slots."""
+    from zeroshap.checkpoint import load_checkpoint, save_checkpoint
+
+    arrays, ckpt_config, metadata = load_checkpoint(root / "out" / "explainer.ckpt")
+    ckpt_config["max_features"] = max_features
+    for name in ("embed_w", "slot_pos"):
+        arrays[name] = arrays[name][: max_features + 1]
+    ckpt = tmp_path / f"narrow{max_features}.ckpt"
+    save_checkpoint(ckpt, "explainer", arrays, config=ckpt_config, metadata=metadata)
+    return ckpt
+
+
+def test_benchmark_refuses_a_checkpoint_narrower_than_its_tasks(workspace, tmp_path, capsys, monkeypatch):
+    root, config = workspace
+    monkeypatch.setattr(cli, "sample_task", lambda *args, **kwargs: pytest.fail("sampled a task"))
+    code = cli.main(["benchmark", "--config", str(config), "--checkpoint", str(_narrow_checkpoint(root, tmp_path, 1)),
+                     "--set", f"output_dir={tmp_path / 'out'}", "--quiet"])
+    _fails_cleanly(code, capsys, "config error: ", "allow tasks with 3 features",
+                   "the checkpoint explains at most 1")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("max_features", [1, 2])
+def test_dag_recover_draws_tasks_the_checkpoint_can_explain(workspace, tmp_path, max_features):
+    # each pass explains m - 1 features, so tasks may have up to max_features + 1
+    root, config = workspace
+    out = tmp_path / "out"
+    assert cli.main(["dag-recover", "--config", str(config), "--quiet", "--set", f"output_dir={out}",
+                     "--checkpoint", str(_narrow_checkpoint(root, tmp_path, max_features))]) == 0
+    tasks = json.loads((out / "dag_recovery.json").read_text())["tasks"]
+    assert len(tasks) == 2
+    assert all(2 <= task["m"] <= max_features + 1 for task in tasks)

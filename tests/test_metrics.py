@@ -109,7 +109,6 @@ def _task_for_recovery(m=4, n=48, seed=0):
         edges=[(1, 0), (2, 1), (3, 2), (4, 0)],
         edge_activation=["identity"] * 4,
         noise_dist=["normal"] * 5,
-        subgraph_id=[0] * 5,
     )
     rng = np.random.default_rng(seed)
     samples = rng.normal(size=(n, 5))

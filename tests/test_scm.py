@@ -89,14 +89,14 @@ def test_sampled_tags_apply_cleanly(seed):
 
 
 def test_propagate_single_root_standardized():
-    dag = scm.DagSpec(1, [], [], ["normal"], [0])
+    dag = scm.DagSpec(1, [], [], ["normal"])
     values = scm.propagate(dag, 100, np.random.default_rng(0))
     assert abs(values[:, 0].mean()) < 1e-9
     assert abs(values[:, 0].std() - 1.0) < 1e-9
 
 
 def test_propagate_identity_chain_correlates():
-    dag = scm.DagSpec(2, [(0, 1)], ["identity"], ["normal", "normal"], [0, 0])
+    dag = scm.DagSpec(2, [(0, 1)], ["identity"], ["normal", "normal"])
     values = scm.propagate(dag, 1000, np.random.default_rng(4), child_noise_scale=0.1)
     corr = np.corrcoef(values[:, 0], values[:, 1])[0, 1]
     assert abs(corr) > 0.5
@@ -104,7 +104,7 @@ def test_propagate_identity_chain_correlates():
 
 def test_propagate_all_sine_finite_and_standardized():
     edges = [(0, 1), (1, 2), (0, 2)]
-    dag = scm.DagSpec(3, edges, ["sin"] * 3, ["normal"] * 3, [0] * 3)
+    dag = scm.DagSpec(3, edges, ["sin"] * 3, ["normal"] * 3)
     values = scm.propagate(dag, 256, np.random.default_rng(5))
     assert np.all(np.isfinite(values))
     for col in values.T:
@@ -113,13 +113,13 @@ def test_propagate_all_sine_finite_and_standardized():
 
 
 def test_propagate_needs_min_samples():
-    dag = scm.DagSpec(1, [], [], ["normal"], [0])
+    dag = scm.DagSpec(1, [], [], ["normal"])
     with pytest.raises(ValueError):
         scm.propagate(dag, 4, np.random.default_rng(0))
 
 
 def test_select_task_median_split_balanced():
-    dag = scm.DagSpec(2, [(0, 1)], ["identity"], ["normal", "normal"], [0, 0])
+    dag = scm.DagSpec(2, [(0, 1)], ["identity"], ["normal", "normal"])
     values = scm.propagate(dag, 1000, np.random.default_rng(6))
 
     class FixedQuantileRng:
@@ -141,14 +141,14 @@ def test_select_task_median_split_balanced():
 
 
 def test_select_task_m_max_bound():
-    dag = scm.DagSpec(4, [(0, 1), (1, 2), (2, 3)], ["identity"] * 3, ["normal"] * 4, [0] * 4)
+    dag = scm.DagSpec(4, [(0, 1), (1, 2), (2, 3)], ["identity"] * 3, ["normal"] * 4)
     values = scm.propagate(dag, 64, np.random.default_rng(8))
     task = scm.select_task(dag, values, np.random.default_rng(9), m_max=1)
     assert task.m == 1
 
 
 def test_select_task_rejects_constant_target():
-    dag = scm.DagSpec(2, [(0, 1)], ["identity"], ["normal", "normal"], [0, 0])
+    dag = scm.DagSpec(2, [(0, 1)], ["identity"], ["normal", "normal"])
     values = scm.propagate(dag, 64, np.random.default_rng(10))
     values = values.copy()
     values[:, :] = 0.0  # constant columns cannot be thresholded into two classes
@@ -180,7 +180,8 @@ def test_disconnected_subgraphs_possible():
     seen_multi = False
     for seed in range(40):
         task = scm.sample_task(seed, cfg)
-        if len(set(task.dag.subgraph_id)) > 1:
+        # growth adds one edge per non-root node, so a forest of c trees has node_count - c edges
+        if len(task.dag.edges) < task.dag.node_count - 1:
             seen_multi = True
             break
     assert seen_multi

@@ -314,7 +314,6 @@ def test_disconnected_feature_attributions_concentrate_near_zero():
         edges=[(1, 0), (3, 2)],
         edge_activation=["identity", "identity"],
         noise_dist=["normal"] * 4,
-        subgraph_id=[0, 0, 1, 1],
     )
     values = scm.propagate(dag, 400, np.random.default_rng(0), child_noise_scale=0.3)
     labels = (values[:, 0] > np.quantile(values[:, 0], 0.5)).astype(np.int64)
