@@ -17,6 +17,7 @@ level per step.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,6 +338,21 @@ def _fit_tree(X: np.ndarray, Y: np.ndarray, max_depth: int, rng, split) -> Tree:
 # 0.2-0.6 MB higher; blocks of 1600 pairs took 3.3 ms. The per-tree walk took
 # about 9 ms.
 PAIRS_PER_BLOCK = 6400
+# each thread's work arrays of the stacked walk, kept from call to call. With
+# fresh arrays at every level, whether glibc handed the freed heap top back to
+# the OS, to fault it in again one level later, hung on the heap's layout: on
+# one run the forest label factory's permutation entries took 2000 page faults
+# each, on the next none.
+_WALK_SCRATCH = threading.local()
+
+
+def _walk_scratch(name: str, size: int, dtype) -> np.ndarray:
+    """This thread's work array ``name`` of ``dtype``, ``size`` elements long."""
+    key = (name, np.dtype(dtype).str)
+    buffers = vars(_WALK_SCRATCH)
+    if key not in buffers or buffers[key].size < size:
+        buffers[key] = np.empty(size, dtype)
+    return buffers[key][:size]
 
 
 @dataclass(frozen=True)
@@ -361,23 +377,44 @@ class TreeStack:
         """Mean leaf value over the trees, (n,) or (n, d); safe for concurrent callers.
 
         Each row's leaf values are summed in tree order, starting from the
-        first tree's, then divided by the tree count.
+        first tree's, then divided by the tree count. The walk runs in this
+        thread's work arrays; its takes clip rather than check their indices,
+        which ``stack_trees`` and the checks before it keep in range.
         """
         n, m = X.shape
         x_flat = X.ravel()
         row_starts = np.arange(n) * m
         per_block = max(1, PAIRS_PER_BLOCK // max(n, 1))
+        most = min(per_block, self.roots.size) * n
+        leaf_shape = self.value.shape[1:]
+        work = [_walk_scratch(name, most, dtype) for name, dtype in (
+            ("nodes", self.children.dtype), ("cells", row_starts.dtype), ("index", np.intp),
+            ("x_at", x_flat.dtype), ("cut", self.threshold.dtype), ("right", bool))]
+        leaf_work = _walk_scratch("leaves", most * math.prod(leaf_shape), self.value.dtype)
         total = None
         for start in range(0, self.roots.size, per_block):
             roots = self.roots[start : start + per_block]
-            nodes = np.repeat(roots, n)
-            cells = np.tile(row_starts, roots.size)
+            pairs = roots.size * n
+            nodes, cells, index, x_at, cut, right = (a[:pairs] for a in work)
+            nodes.reshape(roots.size, n)[:] = roots[:, None]
+            cells.reshape(roots.size, n)[:] = row_starts
             for _ in range(self.depth):
-                goes_right = ~(x_flat[cells + self.feature[nodes]] <= self.threshold[nodes])
-                nodes = self.children[2 * nodes + goes_right]
-            for leaf_values in self.value[nodes].reshape((roots.size, n) + self.value.shape[1:]):
+                # right = ~(x[cell + feature[node]] <= threshold[node]); node = children[2 * node + right]
+                # (positional out: the keyword costs as much as a small op)
+                self.feature.take(nodes, None, index, "clip")
+                index += cells
+                x_flat.take(index, None, x_at, "clip")
+                self.threshold.take(nodes, None, cut, "clip")
+                np.less_equal(x_at, cut, right)
+                np.logical_not(right, right)
+                np.multiply(nodes, 2, index)
+                index += right
+                self.children.take(index, None, nodes, "clip")
+            leaves = leaf_work[: pairs * math.prod(leaf_shape)].reshape((pairs,) + leaf_shape)
+            self.value.take(nodes, 0, leaves, "clip")
+            for leaf_values in leaves.reshape((roots.size, n) + leaf_shape):
                 if total is None:
-                    total = leaf_values
+                    total = leaf_values.copy()
                 else:
                     total += leaf_values
         return total / self.roots.size

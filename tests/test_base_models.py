@@ -258,6 +258,29 @@ def test_stacked_walk_equals_the_per_tree_walks(seed, n_trees, max_depth, n_trai
     assert out.tobytes() == forest_predict(trees, Q).tobytes()
 
 
+def test_stacked_walks_on_concurrent_threads_keep_apart():
+    """Each thread walks in its own work arrays: threads that predict different
+    forests on different row counts at once get the per-tree oracle's values."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(23)
+    jobs = []
+    for n_queries, m in ((300, 2), (40, 3), (7, 1), (128, 4)):
+        X = rng.normal(size=(48, m))
+        y = (X[:, 0] + rng.normal(size=48) > 0).astype(float)
+        forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=60, seed=n_queries))
+        jobs.append((forest, rng.normal(size=(n_queries, m))))
+    expected = [forest_predict(forest.trees, Q).tobytes() for forest, Q in jobs]
+
+    def walk(job):
+        forest, Q = job
+        return [forest.predict_proba(Q).tobytes() for _ in range(20)]
+
+    with ThreadPoolExecutor(max_workers=len(jobs)) as ex:
+        for outs, want in zip(ex.map(walk, jobs), expected, strict=True):
+            assert outs == [want] * 20
+
+
 def test_stacked_walk_takes_the_depth_of_its_trees_not_of_the_config(tmp_path):
     rng = np.random.default_rng(19)
     X = rng.normal(size=(80, 3))
