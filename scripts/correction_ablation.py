@@ -20,11 +20,12 @@ from zeroshap import pool as pl
 from zeroshap import postprocess as pp
 from zeroshap.metrics import pearson
 
+# each variant maps (raw attributions in C order, predictions) to an estimate
 VARIANTS = {
-    "raw": pp.CorrectionConfig(False, False, False),
-    "efficiency_only": pp.CorrectionConfig(False, False, True),
-    "statistical_only": pp.CorrectionConfig(True, True, False),
-    "full": pp.CorrectionConfig(True, True, True),
+    "raw": lambda phi, y_hat: phi,
+    "efficiency_only": pp.efficiency_correct,
+    "statistical_only": lambda phi, y_hat: pp.rescale(pp.recenter(phi), y_hat),
+    "full": pp.full_pipeline,
 }
 
 
@@ -42,10 +43,11 @@ def main() -> int:
     rows = []
     for i in range(args.n_tasks):
         triplet = pl.build_pool_entry(args.seed, i, cfg)
-        raw = ex.explain_zero_shot(weights, triplet.X, triplet.y_hat)
+        # C order, as full_pipeline reads it: the steps' sums run in memory order
+        raw = np.ascontiguousarray(ex.explain_zero_shot(weights, triplet.X, triplet.y_hat))
         row = {"task": i, "m": triplet.m, "n": triplet.n}
-        for name, correction in VARIANTS.items():
-            estimate = pp.full_pipeline(raw, triplet.y_hat, correction)
+        for name, correct in VARIANTS.items():
+            estimate = correct(raw, triplet.y_hat)
             try:
                 score = pearson(estimate, triplet.phi)
             except ValueError:

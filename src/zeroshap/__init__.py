@@ -39,7 +39,7 @@ from .pool import (
     pool_read,
     pool_write,
 )
-from .postprocess import CorrectionConfig, efficiency_correct, full_pipeline, recenter, rescale
+from .postprocess import efficiency_correct, full_pipeline, recenter, rescale
 from .scm import DagSpec, ScmTask, TaskGenConfig, apply_activation, propagate, sample_dag, sample_task, select_task
 from .shapley import ShapConfig, ShapResult, coalition_value, exact_shapley, hybrid_shapley, permutation_shapley
 from .surrogates import ReferenceSet, Surrogate, fit_surrogate, predict_surrogate

@@ -9,9 +9,9 @@ attribution ground truth is computed on the probability output.
 This module is the one home of CART: one builder with per-split feature
 subsampling and two split costs, Gini for the forest classifier and summed
 squared error for the few-shot forest-regressor surrogate, whose trees hold
-multi-output leaves. One stacked walk predicts for both forests: their trees
-are concatenated once per model, and every (tree, row) pair descends one
-level per step.
+multi-output leaves. One bagging loop fits both forests, and one stacked
+walk predicts for both: their trees are concatenated once per model, and
+every (tree, row) pair descends one level per step.
 """
 
 from __future__ import annotations
@@ -329,6 +329,16 @@ def _fit_tree(X: np.ndarray, Y: np.ndarray, max_depth: int, rng, split) -> Tree:
     )
 
 
+def _fit_bagged(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int, split) -> TreeStack:
+    """One tree per rng of ``rngs``: each draws a bootstrap sample of the rows, then grows
+    ``_fit_tree`` on it; the trees come back stacked."""
+    trees = []
+    for rng in rngs:
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(_fit_tree(X[idx], Y[idx], max_depth, rng, split))
+    return stack_trees(trees)
+
+
 # ---- stacked walk ----
 
 # (tree, row) pairs that one block of the stacked walk descends together. It
@@ -499,12 +509,9 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None) 
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(np.unique(y)) < 2 or not set(np.unique(y)) <= {0.0, 1.0}:
         raise ValueError("labels must be binary with both classes present")
-    trees = []
-    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_estimators):
-        rng = np.random.default_rng(seq)
-        idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(_fit_tree(X[idx], y[idx], cfg.max_depth, rng, _gini_best_split))
-    return ForestModel(stack=stack_trees(trees), config=cfg, n_features=X.shape[1])
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_estimators)]
+    return ForestModel(stack=_fit_bagged(X, y, rngs, cfg.max_depth, _gini_best_split), config=cfg,
+                       n_features=X.shape[1])
 
 
 # ---- checkpoints ----

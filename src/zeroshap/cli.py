@@ -36,7 +36,7 @@ STAGE_DAG = 3
 
 
 class InputError(ValueError):
-    """A malformed input file: reported as ``error: ...`` with exit status 2."""
+    """A malformed input file or a missing flag: reported as ``error: ...`` with exit status 2."""
 
 
 def read_csv_matrix(path) -> tuple[list[str], np.ndarray]:
@@ -93,6 +93,19 @@ def _load_explainer(args, cfg: RunConfig):
     return load_weights(checkpoint)
 
 
+def _read_table(args, cfg: RunConfig, need_prediction: bool):
+    """(features, predictions) of the ``--input`` CSV. Without its prediction column a table
+    raises InputError if ``need_prediction``, and is (all columns, None) otherwise."""
+    header, data = read_csv_matrix(args.input)
+    pred_col = args.prediction_column or cfg.get("explain.prediction_column")
+    if pred_col not in header:
+        if need_prediction:
+            raise InputError(f"prediction column {pred_col!r} not in CSV header {header}")
+        return data, None
+    pred_idx = header.index(pred_col)
+    return data[:, [i for i in range(len(header)) if i != pred_idx]], data[:, pred_idx]
+
+
 def _attribution_header(m: int) -> list[str]:
     return [f"feature_{j + 1}" for j in range(m)] + ["base_value"]
 
@@ -133,9 +146,7 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     pool_dir = Path(args.pool or cfg.pool_path)
     if not pool_task_ids(pool_dir):
-        print(f"error: pool {pool_dir} is empty or missing; run 'zeroshap generate' first",
-              file=sys.stderr)
-        return 2
+        raise PoolError(f"pool {pool_dir} is empty or missing; run 'zeroshap generate' first")
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = Path(args.checkpoint or out_dir / "explainer.ckpt")
@@ -168,19 +179,10 @@ def cmd_train(args) -> int:
 def cmd_explain(args) -> int:
     cfg = _load_run_config(args)
     weights = _load_explainer(args, cfg)
-    header, data = read_csv_matrix(args.input)
-    pred_col = args.prediction_column or cfg.get("explain.prediction_column")
-    if pred_col not in header:
-        print(f"error: prediction column {pred_col!r} not in CSV header {header}", file=sys.stderr)
-        return 2
-    pred_idx = header.index(pred_col)
-    feature_idx = [i for i in range(len(header)) if i != pred_idx]
-    if not 1 <= len(feature_idx) <= weights.config.max_features:
-        print(f"error: {len(feature_idx)} feature columns; the checkpoint explains 1 to "
-              f"{weights.config.max_features}", file=sys.stderr)
-        return 2
-    X = data[:, feature_idx]
-    y_hat = data[:, pred_idx]
+    X, y_hat = _read_table(args, cfg, need_prediction=True)
+    if not 1 <= X.shape[1] <= weights.config.max_features:
+        raise InputError(f"{X.shape[1]} feature columns; the checkpoint explains 1 to "
+                         f"{weights.config.max_features}")
     raw = explain_zero_shot(weights, X, y_hat)
     phi = full_pipeline(raw, y_hat)
     base_value = float(np.mean(y_hat))
@@ -193,13 +195,7 @@ def cmd_explain(args) -> int:
 def cmd_shap(args) -> int:
     cfg = _load_run_config(args)
     model = bm.load_model(args.model)
-    header, data = read_csv_matrix(args.input)
-    pred_col = args.prediction_column or cfg.get("explain.prediction_column")
-    if pred_col in header:
-        feature_idx = [i for i in range(len(header)) if i != header.index(pred_col)]
-        X = data[:, feature_idx]
-    else:
-        X = data
+    X, _ = _read_table(args, cfg, need_prediction=False)
     if X.shape[1] != model.n_features:
         raise InputError(f"{args.input}: {X.shape[1]} feature columns; the model {args.model} "
                          f"takes {model.n_features}")
@@ -341,10 +337,16 @@ def cmd_benchmark(args) -> int:
 
 def cmd_dag_recover(args) -> int:
     cfg = _load_run_config(args)
+    n_tasks = cfg.get_int("dag.n_tasks")
+    if n_tasks < 1:
+        raise ConfigError(f"dag.n_tasks must be at least 1, got {n_tasks}")
+    budgets = cfg.get_int_list("dag.edge_budgets")
+    if not budgets or min(budgets) < 1:
+        raise ConfigError(f"dag.edge_budgets = {','.join(map(str, budgets))!r}: give one or more edge "
+                          f"counts, each at least 1")
     weights = _load_explainer(args, cfg)
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    budgets = cfg.get_int_list("dag.edge_budgets")
     # each pass explains the m - 1 features left once one column stands in for the prediction
     gen_cfg = replace(cfg.task_gen_config(node_range_key="dag.node_range"),
                       m_max=weights.config.max_features + 1)
@@ -352,7 +354,6 @@ def cmd_dag_recover(args) -> int:
         raise ConfigError(f"edge recovery needs tasks with at least two features, but dag.node_range and "
                           f"the checkpoint's max_features = {weights.config.max_features} allow "
                           f"{_widest_task(gen_cfg)}")
-    n_tasks = cfg.get_int("dag.n_tasks")
 
     per_task = []
     collected = 0
@@ -392,6 +393,8 @@ def cmd_dag_recover(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if not args.pool and not args.checkpoint:
+        raise InputError("pass --pool and/or --checkpoint")
     failures = 0
     checks = 0
 
@@ -437,9 +440,6 @@ def cmd_validate(args) -> int:
                    bool(np.all(np.isfinite(out)) and out.min() >= centers.min() and out.max() <= centers.max()))
         except Exception as exc:  # noqa: BLE001
             report("checkpoint loads", False, str(exc))
-    if not args.pool and not args.checkpoint:
-        print("error: pass --pool and/or --checkpoint", file=sys.stderr)
-        return 2
     print(f"{checks - failures}/{checks} checks passed")
     return 1 if failures else 0
 

@@ -84,22 +84,18 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict[str, str] | None = None) -> "RunConfig":
-        values = dict(DEFAULTS)
+        given = {}
         if path is not None:
             try:
                 text = Path(path).read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"{path}: cannot read ({exc})") from exc
-            file_values = parse_config_text(text)
-            unknown = set(file_values) - set(DEFAULTS)
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            values.update(file_values)
-        if overrides:
-            unknown = set(overrides) - set(DEFAULTS)
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            values.update(overrides)
+            given = parse_config_text(text)
+        given.update(overrides or {})
+        unknown = set(given) - set(DEFAULTS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        values = {**DEFAULTS, **given}
         if OUTPUT_DIR_ENV in os.environ:
             values["output_dir"] = os.environ[OUTPUT_DIR_ENV]
         return cls(values)

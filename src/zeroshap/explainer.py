@@ -50,6 +50,9 @@ class ExplainerConfig:
             raise ValueError("embed_dim must be divisible by n_heads")
         if self.bucket_high <= self.bucket_low:
             raise ValueError("bucket range must be increasing")
+        if self.max_context_rows < 2:
+            # a chunked table's fixed reference is max_context_rows // 2 rows
+            raise ValueError(f"max_context_rows must be at least 2, got {self.max_context_rows}")
         if self.train_steps < 1 or self.restarts < 1:
             raise ValueError(f"train_steps and restarts must be at least 1, got {self.train_steps} "
                              f"and {self.restarts}")

@@ -1,29 +1,23 @@
 """Axiom-derived corrections for raw predicted attributions.
 
-Three steps, each usable alone: recenter to a zero global mean (efficiency in
-expectation), rescale so the attribution std matches Std(Y_hat)/sqrt(m)
-(variance decomposition under feature independence), and a per-instance
-efficiency correction that spreads each row's residual evenly across its
-features. The statistical steps are global shift/scale operations, so they
-leave Pearson agreement with any reference unchanged on their own; they earn
-their keep by preparing the efficiency step. All statistics are population
-statistics (divide by the count), which makes the fixed-point identities
-exact.
+Three steps: recenter to a zero global mean (efficiency in expectation),
+rescale so the attribution std matches Std(Y_hat)/sqrt(m) (variance
+decomposition under feature independence), and a per-instance efficiency
+correction that spreads each row's residual evenly across its features.
+``full_pipeline`` runs all three in that order, the one recipe serving uses;
+the correction ablation (``scripts/correction_ablation.py``) composes the
+steps itself. The statistical steps are global shift/scale operations, so
+they leave Pearson agreement with any reference unchanged on their own; they
+earn their keep by preparing the efficiency step. All statistics are
+population statistics (divide by the count), which makes the fixed-point
+identities exact.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class CorrectionConfig:
-    enable_recenter: bool = True
-    enable_rescale: bool = True
-    enable_efficiency: bool = True
 
 
 def recenter(phi: np.ndarray) -> np.ndarray:
@@ -61,15 +55,8 @@ def efficiency_correct(phi: np.ndarray, y_hat: np.ndarray, base_value: float | N
     return phi + eps[:, None]
 
 
-def full_pipeline(phi: np.ndarray, y_hat: np.ndarray,
-                  config: CorrectionConfig | None = None) -> np.ndarray:
-    """Recenter, rescale, then instance-level efficiency, honoring the flags."""
-    config = config or CorrectionConfig()
-    out = np.asarray(phi, dtype=np.float64).copy()
-    if config.enable_recenter:
-        out = recenter(out)
-    if config.enable_rescale:
-        out = rescale(out, y_hat)
-    if config.enable_efficiency:
-        out = efficiency_correct(out, y_hat)
-    return out
+def full_pipeline(phi: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Recenter, rescale, then instance-level efficiency, on ``phi`` in C order: recenter's mean
+    sums in memory order, and a matrix explained from fancy-indexed columns is F-ordered."""
+    out = np.ascontiguousarray(phi, dtype=np.float64)
+    return efficiency_correct(rescale(recenter(out), y_hat), y_hat)

@@ -63,20 +63,10 @@ def sample_activation_tag(rng: np.random.Generator) -> str:
 
 
 def _fractional_rank(col: np.ndarray) -> np.ndarray:
-    n = col.size
-    if n == 1:
-        return np.zeros(1)
-    order = np.argsort(col, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    sorted_vals = col[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return (ranks - 1.0) / (n - 1.0)
+    """Average ranks (ties share the mean of their positions) scaled to [0, 1]."""
+    _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+    ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    return (ranks[inverse] - 1.0) / max(col.size - 1.0, 1.0)
 
 
 def apply_activation(tag: str, x):
@@ -183,20 +173,18 @@ class ScmTask:
         return len(self.feature_nodes)
 
 
-def _grow_subgraph(rng, nodes: list[int], p: float, birth_parent: dict[int, int | None],
-                   edges: list[tuple[int, int]], activations: list[str]) -> None:
-    birth_parent[nodes[0]] = None
-    existing = [nodes[0]]
-    for node in nodes[1:]:
-        chosen = existing[rng.integers(0, len(existing))]
-        if rng.uniform() < p and birth_parent[chosen] is not None:
-            chosen = birth_parent[chosen]
-        # the new node points at (feeds into) its target, so heavily attached
-        # nodes accumulate many parents
-        edges.append((node, chosen))
-        activations.append(sample_activation_tag(rng))
-        birth_parent[node] = chosen
-        existing.append(node)
+def _attach(rng, node: int, existing: range, p: float, birth_parent: dict[int, int | None],
+            edges: list[tuple[int, int]], activations: list[str]) -> None:
+    """One growth step: ``node`` feeds a uniform node of ``existing``, or with probability p
+    that node's birth parent, which then becomes ``node``'s own."""
+    chosen = existing[rng.integers(0, len(existing))]
+    if rng.uniform() < p and birth_parent[chosen] is not None:
+        chosen = birth_parent[chosen]
+    # the new node points at (feeds into) its target, so heavily attached
+    # nodes accumulate many parents
+    edges.append((node, chosen))
+    activations.append(sample_activation_tag(rng))
+    birth_parent[node] = chosen
 
 
 def _check_node_range(node_range: tuple[int, int]) -> None:
@@ -238,28 +226,18 @@ def sample_dag(
     for _ in range(n_nodes - 2 * n_sub):
         sizes[rng.integers(0, n_sub)] += 1
 
+    # each block grows from its first node, its root
+    roots = [sum(sizes[:i]) for i in range(n_sub)]
     birth_parent: dict[int, int | None] = {}
     edges: list[tuple[int, int]] = []
     activations: list[str] = []
-    blocks: list[list[int]] = []
-    start = 0
-    for size in sizes:
-        block = list(range(start, start + size))
-        blocks.append(block)
-        _grow_subgraph(rng, block, p, birth_parent, edges, activations)
-        start += size
-
-    accumulated = list(blocks[0])
-    for block in blocks[1:]:
+    for root, size in zip(roots, sizes):
+        birth_parent[root] = None
+        for node in range(root + 1, root + size):
+            _attach(rng, node, range(root, node), p, birth_parent, edges, activations)
+    for root in roots[1:]:
         if rng.uniform() < connect_prob:
-            chosen = accumulated[rng.integers(0, len(accumulated))]
-            if rng.uniform() < p and birth_parent[chosen] is not None:
-                chosen = birth_parent[chosen]
-            root = block[0]
-            edges.append((root, chosen))
-            activations.append(sample_activation_tag(rng))
-            birth_parent[root] = chosen
-        accumulated.extend(block)
+            _attach(rng, root, range(root), p, birth_parent, edges, activations)
 
     noise = ["normal" if rng.uniform() < 0.5 else "uniform" for _ in range(n_nodes)]
     return DagSpec(node_count=n_nodes, edges=edges, edge_activation=activations, noise_dist=noise)

@@ -20,7 +20,7 @@ of 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class ShapResult:
     phi: np.ndarray
     base_value: float
     estimator: str
-    residuals: np.ndarray = field(repr=False)
 
 
 def _coalition_values(predict_fn, x: np.ndarray, members: np.ndarray, background) -> np.ndarray:
@@ -160,9 +159,7 @@ def hybrid_shapley(predict_fn, X: np.ndarray, config: ShapConfig) -> ShapResult:
         return permutation_shapley(predict_fn, X[i], background, config.n_permutations, rng)
 
     phi = np.vstack([explain_row(i) for i in range(n)])
-    predictions = np.asarray(predict_fn(X), dtype=np.float64).ravel()
-    residuals = predictions - base_value - phi.sum(axis=1)
-    return ShapResult(phi=phi, base_value=base_value, estimator=estimator, residuals=residuals)
+    return ShapResult(phi=phi, base_value=base_value, estimator=estimator)
 
 
 def subsample_background(X: np.ndarray, rng: np.random.Generator, size: int = 64) -> np.ndarray:

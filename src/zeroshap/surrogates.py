@@ -6,7 +6,7 @@ would be under-determined. Surrogates never see the base model, only the
 reference triplets and query (X, Y_hat) pairs. Neither fitted surrogate keeps
 training code of its own: the MLP regressor is fitted by the numpy MLP fit of
 ``base_models`` on a squared-error readout gradient, and the forest
-regressor's trees are ``base_models`` CART trees grown on the variance split
+regressor is bagged by ``base_models``' one bagging loop on the variance split
 cost and predicted by its stacked walk.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base_models import _fit_mlp, _fit_tree, _variance_best_split, stack_trees
+from .base_models import _fit_bagged, _fit_mlp, _variance_best_split
 
 KNN_MAX_NEIGHBORS = 3
 MLP_HIDDEN = 32
@@ -148,13 +148,8 @@ def _predict_mlp(state, Z: np.ndarray) -> np.ndarray:
 
 def _fit_forest_regressor(refs: ReferenceSet, rng) -> dict:
     """Bootstrap samples and candidate features all come from the one shared ``rng``."""
-    Z = refs.inputs()
-    Y = refs.phi
-    trees = []
-    for _ in range(FOREST_SIZE):
-        idx = rng.integers(0, Z.shape[0], size=Z.shape[0])
-        trees.append(_fit_tree(Z[idx], Y[idx], FOREST_DEPTH, rng, _variance_best_split))
-    return {"forest": stack_trees(trees)}
+    return {"forest": _fit_bagged(refs.inputs(), refs.phi, [rng] * FOREST_SIZE, FOREST_DEPTH,
+                                  _variance_best_split)}
 
 
 def _predict_forest(state, Z: np.ndarray) -> np.ndarray:

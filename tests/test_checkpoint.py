@@ -93,7 +93,8 @@ def _saved_models(path):
     (lambda arrays, config: config.update(n_layers=2), "l1_"),
     (lambda arrays, config: arrays.update(head_b=arrays["head_b"][:2]), "head_b"),
     (lambda arrays, config: arrays["l0_wq"].__setitem__((0, 0), np.nan), "non-finite"),
-], ids=["zero-heads", "string-dim", "extra-layer", "short-array", "nan-weight"])
+    (lambda arrays, config: config.update(max_context_rows=0), "max_context_rows must be at least 2"),
+], ids=["zero-heads", "string-dim", "extra-layer", "short-array", "nan-weight", "no-context-rows"])
 def test_explainer_checkpoint_that_does_not_fit_raises_checkpoint_error(tmp_path, edit, message):
     _saved_models(tmp_path)
     path = tmp_path / "explainer.ckpt"

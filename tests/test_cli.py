@@ -76,6 +76,8 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg_file.write_text("no.such.key = 1\n")
     with pytest.raises(ConfigError, match="unknown"):
         RunConfig.load(cfg_file)
+    with pytest.raises(ConfigError, match="unknown config keys: \\['no.such.key', 'other.key'\\]"):
+        RunConfig.load(cfg_file, {"other.key": "2", "seed": "3"})
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -292,7 +294,7 @@ def test_dag_recover_outputs(workspace):
 
 def test_validate_requires_target(capsys):
     assert cli.main(["validate"]) == 2
-    assert "--pool" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: pass --pool and/or --checkpoint\n"
 
 
 def test_explain_chunks_large_inputs(workspace, tmp_path):
@@ -318,7 +320,8 @@ def test_explain_chunks_large_inputs(workspace, tmp_path):
     ("x0,x1,prediction\n0.1,0.2\n", "every row must have 3 cells"),
     (",".join(f"x{j}" for j in range(9)) + ",prediction\n" + ",".join(["0.5"] * 10) + "\n",
      "9 feature columns; the checkpoint explains 1 to 8"),
-], ids=["header-only", "non-numeric", "nan", "inf", "ragged", "too-many-features"])
+    ("x0,x1,score\n0.1,0.2,0.5\n", "prediction column 'prediction' not in CSV header"),
+], ids=["header-only", "non-numeric", "nan", "inf", "ragged", "too-many-features", "no-prediction-column"])
 def test_explain_bad_input_fails_cleanly(workspace, tmp_path, capsys, text, message):
     _, config = workspace
     csv_in = tmp_path / "bad.csv"
@@ -393,6 +396,14 @@ def _fails_cleanly(code, capsys, *fragments):
         assert fragment in err
 
 
+def test_train_on_empty_pool_ends_in_one_error_line(tmp_path, capsys):
+    pool = tmp_path / "empty"
+    pool.mkdir()
+    assert cli.main(["train", "--pool", str(pool), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: pool {pool} is empty or missing; run 'zeroshap generate' first\n"
+    assert list(tmp_path.iterdir()) == [pool]
+
+
 def test_explain_checkpoint_directory_fails_cleanly(workspace, tmp_path, capsys):
     _, config = workspace
     csv_in, csv_out = _query_paths(tmp_path)
@@ -459,6 +470,8 @@ OUT_OF_RANGE = [
     ("train", "explainer.train_steps=0", "explainer: train_steps and restarts must be at least 1"),
     ("train", "explainer.restarts=0", "explainer: train_steps and restarts must be at least 1"),
     ("train", "explainer.max_features=1", "features, more than explainer.max_features = 1"),
+    ("train", "explainer.max_context_rows=0", "explainer: max_context_rows must be at least 2, got 0"),
+    ("train", "explainer.max_context_rows=1", "explainer: max_context_rows must be at least 2, got 1"),
     ("generate", "pool.n_tasks=-2", "pool.n_tasks) must not be negative, got -2"),
     ("generate", "base.epochs=-1", "base: epochs must be at least 1, got -1"),
     ("generate", "base.epochs=0", "base: epochs must be at least 1, got 0"),
@@ -484,6 +497,10 @@ OUT_OF_RANGE = [
     ("benchmark", "benchmark.eval_epochs=0", "benchmark.eval_epochs must be at least 1, got 0"),
     ("dag-recover", "dag.node_range=5:4", "gen and dag.node_range: node_range must be within [2, 64]"),
     ("dag-recover", "dag.node_range=2:2", "edge recovery needs tasks with at least two features"),
+    ("dag-recover", "dag.n_tasks=0", "dag.n_tasks must be at least 1, got 0"),
+    ("dag-recover", "dag.n_tasks=-2", "dag.n_tasks must be at least 1, got -2"),
+    ("dag-recover", "dag.edge_budgets=-1,2", "dag.edge_budgets = '-1,2': give one or more edge counts"),
+    ("dag-recover", "dag.edge_budgets=", "dag.edge_budgets = '': give one or more edge counts"),
 ]
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,13 +103,6 @@ def test_efficiency_correct_exact_residuals(phi):
     assert residual < 1e-12
 
 
-def test_full_pipeline_all_disabled_is_identity():
-    rng = np.random.default_rng(5)
-    phi = rng.normal(size=(6, 2))
-    cfg = pp.CorrectionConfig(False, False, False)
-    np.testing.assert_array_equal(pp.full_pipeline(phi, rng.normal(size=6), cfg), phi)
-
-
 def test_full_pipeline_fixed_point():
     rng = np.random.default_rng(6)
     n, m = 40, 4
@@ -146,3 +142,31 @@ def test_statistical_steps_preserve_pearson():
     base = pearson(phi, ref)
     partial = pp.rescale(pp.recenter(phi), y)
     assert pearson(partial, ref) == pytest.approx(base, abs=1e-12)
+
+
+def test_full_pipeline_reads_f_ordered_input_as_its_c_order_copy():
+    # the explainer's output is F-ordered when X comes from fancy-indexed columns
+    rng = np.random.default_rng(8)
+    phi = np.asfortranarray(rng.normal(size=(300, 7)))
+    y = rng.uniform(0, 1, size=300)
+    np.testing.assert_array_equal(pp.full_pipeline(phi, y), pp.full_pipeline(np.ascontiguousarray(phi), y))
+
+
+def test_correction_ablation_variants_compose_the_library_steps():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "correction_ablation.py"
+    spec = importlib.util.spec_from_file_location("correction_ablation", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rng = np.random.default_rng(9)
+    phi = rng.normal(size=(30, 4))
+    y = rng.uniform(0, 1, size=30)
+    statistical = pp.rescale(pp.recenter(phi), y)
+    expected = {
+        "raw": phi,
+        "efficiency_only": pp.efficiency_correct(phi, y),
+        "statistical_only": statistical,
+        "full": pp.efficiency_correct(statistical, y),
+    }
+    assert list(script.VARIANTS) == list(expected)
+    for name, correct in script.VARIANTS.items():
+        np.testing.assert_array_equal(correct(phi, y), expected[name], err_msg=name)

@@ -48,6 +48,14 @@ def test_every_sampled_dag_is_acyclic():
         assert len(order) == dag.node_count
 
 
+def test_sampled_dag_node_ids_are_python_ints():
+    # on the growth steps and on the connect steps alike
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        dag = scm.sample_dag(rng, node_range=(4, 12), max_subgraphs=3, connect_prob=1.0)
+        assert all(type(node) is int for edge in dag.edges for node in edge)
+
+
 def test_bad_node_range_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -66,6 +74,12 @@ def test_activation_definitions():
 def test_rank_fractional_normalization():
     out = scm.apply_activation("rank", np.array([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(out, [1.0, 0.0, 0.5])
+
+
+def test_rank_ties_share_their_mean_position():
+    out = scm.apply_activation("rank", np.array([2.0, 1.0, 2.0, 2.0, 0.0]))
+    np.testing.assert_array_equal(out, [0.75, 0.25, 0.75, 0.75, 0.0])
+    np.testing.assert_array_equal(scm.apply_activation("rank", np.array([5.0])), [0.0])
 
 
 def test_rank_rejects_scalar():

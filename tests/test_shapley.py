@@ -276,7 +276,8 @@ def test_hybrid_exact_efficiency_residuals():
     X = rng.normal(size=(10, 4))
     cfg = sh.ShapConfig(background=X)
     result = sh.hybrid_shapley(model.predict, X, cfg)
-    assert np.max(np.abs(result.residuals)) < 1e-9
+    residuals = model.predict(X) - result.base_value - result.phi.sum(axis=1)
+    assert np.max(np.abs(residuals)) < 1e-9
     assert result.base_value == pytest.approx(np.mean(model.predict(X)), abs=1e-12)
 
 
