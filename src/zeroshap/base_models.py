@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 # the base-model kinds the label factory and the benchmark can train
 BASE_KINDS = ("mlp", "forest")
@@ -73,6 +72,8 @@ class MlpConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if not self.lr0 > 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if self.lr0 == math.inf:
+            raise ValueError(f"lr0 must be finite, got {self.lr0}")
         if any(width < 1 for width in self.hidden_sizes):
             raise ValueError(f"every hidden width must be at least 1, got {self.hidden_sizes}")
 
@@ -81,7 +82,6 @@ class MlpConfig:
 class MlpModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    config: MlpConfig
     train_losses: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -198,16 +198,7 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
     rng = np.random.default_rng(cfg.seed)
     weights, biases = _fit_mlp(X, cfg.hidden_sizes, 1, cfg.epochs, rng, bce_grad,
                                lambda t: cfg.lr0 / math.sqrt(t + 1))
-    return MlpModel(weights=weights, biases=biases, config=cfg, train_losses=losses)
-
-
-def predict(model, X: np.ndarray) -> np.ndarray:
-    """Probability predictions for either model kind."""
-    if isinstance(model, MlpModel):
-        return model.predict(X)
-    if isinstance(model, ForestModel):
-        return model.predict_proba(X)
-    raise TypeError(f"unsupported model type {type(model)!r}")
+    return MlpModel(weights=weights, biases=biases, train_losses=losses)
 
 
 # ---- CART ----
@@ -429,16 +420,6 @@ class TreeStack:
                     total += leaf_values
         return total / self.roots.size
 
-    def unstack(self) -> list[Tree]:
-        """The trees one by one, with -1 as a leaf's feature and links, as the builder writes them."""
-        itself = np.arange(self.feature.size)
-        left, right = self.children[0::2], self.children[1::2]
-        leaf = left == itself  # a split's children come after it
-        offsets = np.repeat(self.roots, np.diff(np.append(self.roots, itself.size)))
-        arrays = (np.where(leaf, -1, self.feature), self.threshold, np.where(leaf, -1, left - offsets),
-                  np.where(leaf, -1, right - offsets), self.value)
-        return [Tree(*parts) for parts in zip(*(np.split(a, self.roots[1:]) for a in arrays))]
-
 
 def stack_trees(trees: list[Tree]) -> TreeStack:
     """One ``TreeStack`` of ``trees``, whose children must come after their parent."""
@@ -452,11 +433,10 @@ def stack_trees(trees: list[Tree]) -> TreeStack:
     itself = np.arange(feature.size)
     left = np.where(leaf, itself, np.concatenate([tree.left for tree in trees]) + offsets)
     right = np.where(leaf, itself, np.concatenate([tree.right for tree in trees]) + offsets)
-    # one level per step from the roots; np.unique keeps a level no larger than
-    # the node count even where a damaged tree shares a child between parents
+    # one level per step from the roots
     depth, level = 0, roots[~leaf[roots]]
     while level.size:
-        below = np.unique(np.concatenate([left[level], right[level]]))
+        below = np.concatenate([left[level], right[level]])
         level = below[~leaf[below]]
         depth += 1
     return TreeStack(
@@ -484,15 +464,10 @@ class ForestConfig:
 
 @dataclass
 class ForestModel:
-    """A forest held as one ``TreeStack``, which ``train_forest`` and ``load_model`` build."""
+    """A forest held as one ``TreeStack``, which ``train_forest`` builds."""
 
     stack: TreeStack = field(repr=False)
-    config: ForestConfig
     n_features: int
-
-    @property
-    def trees(self) -> list[Tree]:
-        return self.stack.unstack()
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean leaf class-1 frequency across trees; safe for concurrent callers."""
@@ -510,94 +485,4 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None) 
     if len(np.unique(y)) < 2 or not set(np.unique(y)) <= {0.0, 1.0}:
         raise ValueError("labels must be binary with both classes present")
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_estimators)]
-    return ForestModel(stack=_fit_bagged(X, y, rngs, cfg.max_depth, _gini_best_split), config=cfg,
-                       n_features=X.shape[1])
-
-
-# ---- checkpoints ----
-
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
-
-
-def save_model(path, model) -> None:
-    if isinstance(model, MlpModel):
-        arrays = {}
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
-        config = {
-            "hidden_sizes": list(model.config.hidden_sizes),
-            "epochs": model.config.epochs,
-            "lr0": model.config.lr0,
-            "seed": model.config.seed,
-            "n_layers": len(model.weights),
-        }
-        save_checkpoint(path, "mlp", arrays, config=config)
-    elif isinstance(model, ForestModel):
-        arrays = {f"t{i}_{name}": getattr(tree, name)
-                  for i, tree in enumerate(model.trees) for name in _TREE_ARRAYS}
-        config = {
-            "n_estimators": model.config.n_estimators,
-            "max_depth": model.config.max_depth,
-            "seed": model.config.seed,
-            "n_features": model.n_features,
-        }
-        save_checkpoint(path, "forest", arrays, config=config)
-    else:
-        raise TypeError(f"unsupported model type {type(model)!r}")
-
-
-def load_model(path):
-    """The model ``save_model`` wrote; CheckpointError if the file holds no such model.
-
-    Config keys that are not read (such as the forest knobs of older files)
-    are ignored.
-    """
-    arrays, config, _ = load_checkpoint(path)
-    try:
-        if "n_layers" in config:
-            n_layers = config["n_layers"]
-            model = MlpModel(
-                weights=[arrays[f"w{i}"] for i in range(n_layers)],
-                biases=[arrays[f"b{i}"] for i in range(n_layers)],
-                config=MlpConfig(hidden_sizes=tuple(config["hidden_sizes"]), epochs=config["epochs"],
-                                 lr0=config["lr0"], seed=config["seed"]),
-            )
-            widths = [model.n_features] + [w.shape[1] for w in model.weights]
-            fits = n_layers >= 1 and widths[-1] == 1 and all(
-                w.shape == (a, b) and bias.shape == (b,) and np.isfinite(w).all()
-                and np.isfinite(bias).all()
-                for w, bias, a, b in zip(model.weights, model.biases, widths, widths[1:]))
-        else:
-            cfg = ForestConfig(n_estimators=config["n_estimators"], max_depth=config["max_depth"],
-                               seed=config["seed"])
-            trees = [Tree(*(arrays[f"t{i}_{name}"] for name in _TREE_ARRAYS))
-                     for i in range(cfg.n_estimators)]
-            n_features = config["n_features"]
-            fits = bool(trees) and all(_tree_fits(tree, n_features) for tree in trees)
-            # stacking needs trees that fit, so it waits for the check
-            model = ForestModel(stack=stack_trees(trees), config=cfg, n_features=n_features) if fits else None
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise CheckpointError(f"{path}: not a base-model checkpoint ({type(exc).__name__}: {exc})") from exc
-    if not fits:
-        kind = "MlpModel" if "n_layers" in config else "ForestModel"
-        raise CheckpointError(f"{path}: arrays do not form a {kind}")
-    return model
-
-
-def _tree_fits(tree: Tree, n_features: int) -> bool:
-    """One finite label column per node, integer links, and every split feature in range.
-
-    Children must come after their parent, as the builder numbers them, so
-    that a walk always ends at a leaf.
-    """
-    n_nodes = tree.feature.shape[0]
-    if not n_nodes or any(getattr(tree, name).shape != (n_nodes,) for name in _TREE_ARRAYS):
-        return False
-    if any(getattr(tree, name).dtype.kind != "i" for name in ("feature", "left", "right")):
-        return False
-    nodes = np.flatnonzero(tree.feature >= 0)
-    return bool((tree.feature < n_features).all()
-                and np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()
-                and all(((child[nodes] > nodes) & (child[nodes] < n_nodes)).all()
-                        for child in (tree.left, tree.right)))
+    return ForestModel(stack=_fit_bagged(X, y, rngs, cfg.max_depth, _gini_best_split), n_features=X.shape[1])

@@ -3,7 +3,8 @@
 Layout: 8-byte magic ``ZSHAPCK1``, little-endian uint64 header byte length,
 UTF-8 JSON header, then each array's raw bytes in header order. The header
 lists format_version, a kind tag, free-form config/metadata, and an array
-table with name/shape/dtype. Float arrays are ``<f8``, integer arrays ``<i8``.
+table with name/shape/dtype. Every array is ``<f8``. The explainer's
+``save_weights`` and ``load_weights`` are the format's one writer and reader.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 MAGIC = b"ZSHAPCK1"
 FORMAT_VERSION = 1
 
-_DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+_DTYPES = {"<f8": np.dtype("<f8")}
 
 
 class CheckpointError(IOError):
@@ -31,15 +32,10 @@ def save_checkpoint(path, kind: str, arrays: dict[str, np.ndarray],
     blobs = []
     for name in sorted(arrays):
         arr = np.asarray(arrays[name])  # tobytes() below writes C order
-        if arr.dtype.kind == "f":
-            arr = arr.astype("<f8", copy=False)
-            dtype = "<f8"
-        elif arr.dtype.kind in "iu":
-            arr = arr.astype("<i8", copy=False)
-            dtype = "<i8"
-        else:
+        if arr.dtype.kind != "f":
             raise CheckpointError(f"unsupported dtype {arr.dtype} for array {name!r}")
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
+        arr = arr.astype("<f8", copy=False)
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": "<f8"})
         blobs.append(arr.tobytes())
     header = {
         "format_version": FORMAT_VERSION,

@@ -1,9 +1,9 @@
 """Command-line orchestration: pool generation, training, explanation, benchmarks.
 
-Subcommands: generate, train, explain, shap, benchmark, dag-recover,
-validate. Every stage derives its randomness from the master seed, so a
-rerun with the same config and seed reproduces the numeric artifacts byte
-for byte (wall-clock measurement files aside).
+Subcommands: generate, train, explain, benchmark, dag-recover, validate.
+Every stage derives its randomness from the master seed, so a rerun with the
+same config and seed reproduces the numeric artifacts byte for byte
+(wall-clock measurement files aside) at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -93,35 +93,23 @@ def _load_explainer(args, cfg: RunConfig):
     return load_weights(checkpoint)
 
 
-def _read_table(args, cfg: RunConfig, need_prediction: bool):
-    """(features, predictions) of the ``--input`` CSV. Without its prediction column a table
-    raises InputError if ``need_prediction``, and is (all columns, None) otherwise."""
+def _read_table(args, cfg: RunConfig):
+    """(features, predictions) of the ``--input`` CSV; InputError without its prediction column."""
     header, data = read_csv_matrix(args.input)
     pred_col = args.prediction_column or cfg.get("explain.prediction_column")
     if pred_col not in header:
-        if need_prediction:
-            raise InputError(f"prediction column {pred_col!r} not in CSV header {header}")
-        return data, None
+        raise InputError(f"prediction column {pred_col!r} not in CSV header {header}")
     pred_idx = header.index(pred_col)
     return data[:, [i for i in range(len(header)) if i != pred_idx]], data[:, pred_idx]
 
 
-def _attribution_header(m: int) -> list[str]:
-    return [f"feature_{j + 1}" for j in range(m)] + ["base_value"]
-
-
 def _shap_reference(predict_fn, X, cfg: RunConfig, rng, seed: int):
-    """The Shapley oracle under the ``shap.*`` keys, on a background that ``rng`` subsamples from X."""
-    n_permutations = cfg.get_int("shap.n_permutations")
-    background_size = cfg.get_int("shap.background_size")
-    try:
-        check_shap_sizes(n_permutations, background_size)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The Shapley oracle under the ``shap.*`` keys, on a background that ``rng`` subsamples from X;
+    ``_check_sweep`` has checked the sizes."""
     return hybrid_shapley(predict_fn, X, ShapConfig(
         exact_max_features=cfg.get_int("shap.exact_max_features"),
-        n_permutations=n_permutations,
-        background=subsample_background(X, rng, background_size),
+        n_permutations=cfg.get_int("shap.n_permutations"),
+        background=subsample_background(X, rng, cfg.get_int("shap.background_size")),
         seed=seed,
     ))
 
@@ -135,6 +123,8 @@ def cmd_generate(args) -> int:
     if n_tasks < 0:
         raise ConfigError(f"the task count (--n-tasks or pool.n_tasks) must not be negative, got {n_tasks}")
     workers = args.workers if args.workers is not None else cfg.get_int("pool.workers")
+    if workers < 1:
+        raise ConfigError(f"the worker count (--workers or pool.workers) must be at least 1, got {workers}")
     pool_dir = Path(args.pool or cfg.pool_path)
     generate_pool(pool_dir, n_tasks, cfg.seed, cfg.pool_build_config(), workers=workers,
                   progress=not args.quiet)
@@ -147,12 +137,12 @@ def cmd_train(args) -> int:
     pool_dir = Path(args.pool or cfg.pool_path)
     if not pool_task_ids(pool_dir):
         raise PoolError(f"pool {pool_dir} is empty or missing; run 'zeroshap generate' first")
+    explainer_cfg = cfg.explainer_config()
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = Path(args.checkpoint or out_dir / "explainer.ckpt")
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(STAGE_TRAIN,))
     sampler_seq, train_seq = seq.spawn(2)
-    explainer_cfg = cfg.explainer_config()
     draw = make_pool_sampler(pool_dir, np.random.default_rng(sampler_seq))
 
     def sampler():
@@ -179,7 +169,7 @@ def cmd_train(args) -> int:
 def cmd_explain(args) -> int:
     cfg = _load_run_config(args)
     weights = _load_explainer(args, cfg)
-    X, y_hat = _read_table(args, cfg, need_prediction=True)
+    X, y_hat = _read_table(args, cfg)
     if not 1 <= X.shape[1] <= weights.config.max_features:
         raise InputError(f"{X.shape[1]} feature columns; the checkpoint explains 1 to "
                          f"{weights.config.max_features}")
@@ -187,23 +177,8 @@ def cmd_explain(args) -> int:
     phi = full_pipeline(raw, y_hat)
     base_value = float(np.mean(y_hat))
     out = np.column_stack([phi, np.full(X.shape[0], base_value)])
-    write_csv_matrix(args.output, _attribution_header(X.shape[1]), out)
+    write_csv_matrix(args.output, [f"feature_{j + 1}" for j in range(X.shape[1])] + ["base_value"], out)
     print(f"wrote {X.shape[0]} attribution rows to {args.output}")
-    return 0
-
-
-def cmd_shap(args) -> int:
-    cfg = _load_run_config(args)
-    model = bm.load_model(args.model)
-    X, _ = _read_table(args, cfg, need_prediction=False)
-    if X.shape[1] != model.n_features:
-        raise InputError(f"{args.input}: {X.shape[1]} feature columns; the model {args.model} "
-                         f"takes {model.n_features}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(STAGE_BENCH, 0)))
-    result = _shap_reference(lambda rows: bm.predict(model, rows), X, cfg, rng, seed=cfg.seed)
-    out = np.column_stack([result.phi, np.full(X.shape[0], result.base_value)])
-    write_csv_matrix(args.output, _attribution_header(X.shape[1]), out)
-    print(f"wrote {X.shape[0]} rows ({result.estimator} estimator) to {args.output}")
     return 0
 
 
@@ -221,7 +196,7 @@ def _widest_task(gen_cfg) -> int:
 
 
 def _check_sweep(n_tasks: int, methods: list[str], base_kinds: list[str], kshots: list[int],
-                 eval_epochs: int, gen_cfg, max_features: int) -> None:
+                 eval_epochs: int, shap_sizes: tuple[int, int], gen_cfg, max_features: int) -> None:
     if n_tasks < 1:
         raise ConfigError(f"benchmark.n_tasks must be at least 1, got {n_tasks}")
     if eval_epochs < 1:
@@ -241,6 +216,10 @@ def _check_sweep(n_tasks: int, methods: list[str], base_kinds: list[str], kshots
     if not kshots or any(not 0 <= k <= MAX_REFERENCES for k in kshots):
         raise ConfigError(f"benchmark.kshots = {','.join(map(str, kshots))!r}: each must be a reference "
                           f"count in [0, {MAX_REFERENCES}]")
+    try:
+        check_shap_sizes(*shap_sizes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _score_row(head: list, scores: list) -> list:
@@ -258,7 +237,8 @@ def cmd_benchmark(args) -> int:
     base_kinds = cfg.get_str_list("benchmark.base_kinds")
     gen_cfg = cfg.task_gen_config()
     weights = _load_explainer(args, cfg)
-    _check_sweep(n_tasks, methods, base_kinds, kshots, cfg.get_int("benchmark.eval_epochs"), gen_cfg,
+    _check_sweep(n_tasks, methods, base_kinds, kshots, cfg.get_int("benchmark.eval_epochs"),
+                 (cfg.get_int("shap.n_permutations"), cfg.get_int("shap.background_size")), gen_cfg,
                  weights.config.max_features)
     # zero-shot takes no references, a surrogate at least two
     runs = [(method, k) for method in methods for k in kshots
@@ -478,14 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prediction-column")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("shap", help="run the Shapley oracle over a CSV and model checkpoint")
-    common(p)
-    p.add_argument("--model", required=True, help="base-model checkpoint")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--prediction-column")
-    p.set_defaults(func=cmd_shap)
-
     p = sub.add_parser("benchmark", help="methods x k-shots x base-model sweep on synthetic tasks")
     common(p)
     p.add_argument("--checkpoint")
@@ -512,8 +484,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, CheckpointError, PoolError, OSError) as exc:
-        # an OSError that no reader turned into its own type: an output that cannot be written
+    except (InputError, CheckpointError, PoolError, TaskRejected, OSError) as exc:
+        # an OSError that no reader turned into its own type: an output that cannot be written;
+        # TaskRejected: a generator config whose every draw of a task is rejected
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,7 +98,10 @@ class RunConfig:
         values = {**DEFAULTS, **given}
         if OUTPUT_DIR_ENV in os.environ:
             values["output_dir"] = os.environ[OUTPUT_DIR_ENV]
-        return cls(values)
+        cfg = cls(values)
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {cfg.seed}")
+        return cfg
 
     # typed getters -------------------------------------------------
 

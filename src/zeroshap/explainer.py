@@ -46,6 +46,11 @@ class ExplainerConfig:
     def __post_init__(self):
         if self.n_buckets < 2:
             raise ValueError("need at least two buckets")
+        if self.embed_dim < 1 or self.max_features < 1:
+            raise ValueError(f"embed_dim and max_features must be at least 1, got {self.embed_dim} "
+                             f"and {self.max_features}")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must not be negative, got {self.n_layers}")
         if self.n_heads < 1 or self.embed_dim % self.n_heads != 0:
             raise ValueError("embed_dim must be divisible by n_heads")
         if self.bucket_high <= self.bucket_low:
@@ -56,6 +61,9 @@ class ExplainerConfig:
         if self.train_steps < 1 or self.restarts < 1:
             raise ValueError(f"train_steps and restarts must be at least 1, got {self.train_steps} "
                              f"and {self.restarts}")
+        if not 0 < self.lr_low <= self.lr_high < math.inf:
+            raise ValueError(f"lr_low and lr_high must be finite with 0 < lr_low <= lr_high, got "
+                             f"{self.lr_low} and {self.lr_high}")
 
     @property
     def n_slots(self) -> int:

@@ -11,7 +11,6 @@ def random_mlp(m, seed, hidden=16):
     return bm.MlpModel(
         weights=[rng.normal(0, 0.8, size=(m, hidden)), rng.normal(0, 0.8, size=(hidden, 1))],
         biases=[rng.normal(0, 0.3, size=hidden), rng.normal(0, 0.3, size=1)],
-        config=bm.MlpConfig(hidden_sizes=(hidden,)),
     )
 
 

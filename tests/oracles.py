@@ -135,7 +135,6 @@ def autodiff_train_mlp(X, y, cfg):
     return bm.MlpModel(
         weights=[params[f"w{i}"].data for i in range(n_layers)],
         biases=[params[f"b{i}"].data for i in range(n_layers)],
-        config=cfg,
         train_losses=losses,
     )
 
@@ -231,6 +230,20 @@ def reference_explainer_train(pool_sampler, config, rng):
         if smoothed < best_loss:
             best, best_loss = arrays, smoothed
     return best
+
+
+def unstack(stack):
+    """The trees of a ``base_models.TreeStack`` one by one, with -1 as a leaf's feature
+    and links, as the builder writes them."""
+    from zeroshap import base_models as bm
+
+    itself = np.arange(stack.feature.size)
+    left, right = stack.children[0::2], stack.children[1::2]
+    leaf = left == itself  # a split's children come after it
+    offsets = np.repeat(stack.roots, np.diff(np.append(stack.roots, itself.size)))
+    arrays = (np.where(leaf, -1, stack.feature), stack.threshold, np.where(leaf, -1, left - offsets),
+              np.where(leaf, -1, right - offsets), stack.value)
+    return [bm.Tree(*parts) for parts in zip(*(np.split(a, stack.roots[1:]) for a in arrays))]
 
 
 def tree_predict(tree, X):

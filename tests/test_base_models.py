@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import autodiff_train_mlp, forest_predict, tree_predict
+from oracles import autodiff_train_mlp, forest_predict, tree_predict, unstack
 from zeroshap import autodiff as ad
 from zeroshap import base_models as bm
 
@@ -118,7 +118,6 @@ def test_predict_zero_weight_network_is_half():
     model = bm.MlpModel(
         weights=[np.zeros((3, 4)), np.zeros((4, 1))],
         biases=[np.zeros(4), np.zeros(1)],
-        config=bm.MlpConfig(hidden_sizes=(4,)),
     )
     out = model.predict(np.random.default_rng(0).normal(size=(5, 3)))
     np.testing.assert_array_equal(out, 0.5)
@@ -162,7 +161,7 @@ def test_forest_single_tree_equals_cart_on_its_bootstrap():
     idx = tree_rng.integers(0, 120, size=120)
     tree = bm._fit_tree(X[idx], y[idx], 8, tree_rng, bm._gini_best_split)
     for name in ("feature", "threshold", "left", "right", "value"):
-        assert np.array_equal(getattr(forest.trees[0], name), getattr(tree, name))
+        assert np.array_equal(getattr(unstack(forest.stack)[0], name), getattr(tree, name))
     assert forest.predict_proba(X).tobytes() == tree_predict(tree, X).tobytes()
 
 
@@ -209,7 +208,7 @@ def test_forest_tree_order_invariance():
     forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=8, seed=3))
     Xq = rng.normal(size=(20, 3))
     base = forest.predict_proba(Xq)
-    backwards = bm.ForestModel(stack=bm.stack_trees(forest.trees[::-1]), config=forest.config, n_features=3)
+    backwards = bm.ForestModel(stack=bm.stack_trees(unstack(forest.stack)[::-1]), n_features=3)
     np.testing.assert_allclose(backwards.predict_proba(Xq), base, atol=1e-12)
 
 
@@ -240,7 +239,7 @@ def test_stacked_walk_equals_the_per_tree_walks(seed, n_trees, max_depth, n_trai
         y = rng.integers(0, 2, size=n_train).astype(float)
         y[:2] = [0.0, 1.0]
         forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=n_trees, max_depth=max_depth, seed=seed))
-        trees, predict = forest.trees, forest.predict_proba
+        trees, predict = unstack(forest.stack), forest.predict_proba
     else:
         Y = rng.normal(size=(n_train, d))
         trees = []
@@ -248,7 +247,7 @@ def test_stacked_walk_equals_the_per_tree_walks(seed, n_trees, max_depth, n_trai
             idx = rng.integers(0, n_train, size=n_train)
             trees.append(bm._fit_tree(X[idx], Y[idx], max_depth, rng, bm._variance_best_split))
         stack = bm.stack_trees(trees)
-        for tree, back in zip(trees, stack.unstack(), strict=True):
+        for tree, back in zip(trees, unstack(stack), strict=True):
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
         predict = stack.predict
@@ -270,7 +269,7 @@ def test_stacked_walks_on_concurrent_threads_keep_apart():
         y = (X[:, 0] + rng.normal(size=48) > 0).astype(float)
         forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=60, seed=n_queries))
         jobs.append((forest, rng.normal(size=(n_queries, m))))
-    expected = [forest_predict(forest.trees, Q).tobytes() for forest, Q in jobs]
+    expected = [forest_predict(unstack(forest.stack), Q).tobytes() for forest, Q in jobs]
 
     def walk(job):
         forest, Q = job
@@ -281,22 +280,15 @@ def test_stacked_walks_on_concurrent_threads_keep_apart():
             assert outs == [want] * 20
 
 
-def test_stacked_walk_takes_the_depth_of_its_trees_not_of_the_config(tmp_path):
+def test_stacked_walk_takes_the_depth_of_its_trees_not_of_the_config():
     rng = np.random.default_rng(19)
     X = rng.normal(size=(80, 3))
     y = (X[:, 0] * X[:, 1] > 0).astype(float)
     forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=4, max_depth=6, seed=2))
     assert forest.stack.depth == 6
-    from zeroshap.checkpoint import load_checkpoint, save_checkpoint
-
-    path = tmp_path / "forest.ckpt"
-    bm.save_model(path, forest)
-    arrays, config, _ = load_checkpoint(path)
-    config.update(max_depth=1)
-    save_checkpoint(path, "forest", arrays, config=config)
-    loaded = bm.load_model(path)
-    assert loaded.stack.depth == 6
-    assert loaded.predict_proba(X).tobytes() == forest.predict_proba(X).tobytes()
+    restacked = bm.stack_trees(unstack(forest.stack))
+    assert restacked.depth == 6
+    assert restacked.predict(X).tobytes() == forest.predict_proba(X).tobytes()
 
 
 def test_forest_needs_a_tree():
@@ -337,48 +329,6 @@ def test_scaler_roundtrip():
     np.testing.assert_allclose(back, X, atol=1e-12)
 
 
-def test_mlp_checkpoint_roundtrip(tmp_path, separable_model):
-    X, _, model = separable_model
-    path = tmp_path / "mlp.ckpt"
-    bm.save_model(path, model)
-    loaded = bm.load_model(path)
-    np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
-    # rewriting the loaded model is byte-identical
-    path2 = tmp_path / "mlp2.ckpt"
-    bm.save_model(path2, loaded)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_forest_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    X = rng.normal(size=(100, 3))
-    y = (X[:, 0] > 0).astype(float)
-    forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=5, seed=4))
-    path = tmp_path / "forest.ckpt"
-    bm.save_model(path, forest)
-    loaded = bm.load_model(path)
-    np.testing.assert_array_equal(loaded.predict_proba(X), forest.predict_proba(X))
-    # the trees come back from the stack as the builder wrote them
-    path2 = tmp_path / "forest2.ckpt"
-    bm.save_model(path2, loaded)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_checkpoint_truncation_detected(tmp_path):
-    rng = np.random.default_rng(14)
-    X = rng.normal(size=(100, 3))
-    y = (X[:, 0] > 0).astype(float)
-    forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=2, seed=5))
-    path = tmp_path / "forest.ckpt"
-    bm.save_model(path, forest)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) - 16])
-    from zeroshap.checkpoint import CheckpointError
-
-    with pytest.raises(CheckpointError, match="truncated"):
-        bm.load_model(path)
-
-
 def test_eval_variant_two_hidden_layers():
     X, y = _separable(n=120)
     model = bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(12, 12), epochs=400, seed=0))
@@ -401,63 +351,3 @@ def test_mlp_without_hidden_layers_is_a_logistic_readout():
 def test_mlp_config_rejects_out_of_range_values(fields, message):
     with pytest.raises(ValueError, match=message):
         bm.MlpConfig(**fields)
-
-
-def _small_models():
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(40, 3))
-    y = (X[:, 0] > 0).astype(float)
-    return {"mlp": bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(4,), epochs=5)),
-            "forest": bm.train_forest(X, y, bm.ForestConfig(n_estimators=3, max_depth=3))}
-
-
-def _drop(key):
-    return lambda arrays, config: config.pop(key)
-
-
-def _set_array(name, edit):
-    return lambda arrays, config: arrays.__setitem__(name, edit(arrays[name]))
-
-
-@pytest.mark.parametrize("kind, corrupt, message", [
-    ("forest", _drop("n_estimators"), "not a base-model checkpoint"),
-    ("forest", lambda arrays, config: arrays.pop("t1_left"), "t1_left"),
-    ("forest", lambda arrays, config: config.update(n_estimators=0), "ForestModel"),
-    ("forest", _set_array("t0_left", lambda a: np.where(a > 0, 0, a)), "ForestModel"),
-    ("forest", _set_array("t2_feature", lambda a: a + 3), "ForestModel"),
-    ("forest", _set_array("t0_value", lambda a: a[:-1]), "ForestModel"),
-    ("forest", _set_array("t0_value", lambda a: np.full_like(a, np.nan)), "ForestModel"),
-    ("mlp", _drop("hidden_sizes"), "not a base-model checkpoint"),
-    ("mlp", lambda arrays, config: arrays.pop("b0"), "b0"),
-    ("mlp", lambda arrays, config: config.update(n_layers=3), "w2"),
-    ("mlp", _set_array("w1", lambda a: a[:2]), "MlpModel"),
-    ("mlp", _set_array("w0", lambda a: a.ravel()), "IndexError"),
-    ("mlp", _set_array("b1", lambda a: a / 0.0), "MlpModel"),
-    ("mlp", lambda arrays, config: config.update(lr0=0.0), "lr0 must be positive"),
-], ids=["no-n-estimators", "no-tree-array", "no-trees", "cyclic-link", "feature-out-of-range",
-        "short-value", "nan-value", "no-hidden-sizes", "no-bias", "extra-layer", "width-mismatch",
-        "flat-weights", "inf-bias", "zero-lr0"])
-def test_load_model_rejects_checkpoints_that_do_not_fit(tmp_path, kind, corrupt, message):
-    from zeroshap.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-
-    path = tmp_path / f"{kind}.ckpt"
-    bm.save_model(path, _small_models()[kind])
-    arrays, config, _ = load_checkpoint(path)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corrupt(arrays, config)
-    save_checkpoint(path, kind, arrays, config=config)
-    with pytest.raises(CheckpointError, match=message):
-        bm.load_model(path)
-
-
-def test_load_model_ignores_the_retired_forest_knobs(tmp_path):
-    from zeroshap.checkpoint import load_checkpoint, save_checkpoint
-
-    forest = _small_models()["forest"]
-    path = tmp_path / "forest.ckpt"
-    bm.save_model(path, forest)
-    arrays, config, _ = load_checkpoint(path)
-    config.update(min_samples_leaf=1, bootstrap=True, feature_subsample="sqrt")
-    save_checkpoint(path, "forest", arrays, config=config)
-    X = np.random.default_rng(18).normal(size=(10, 3))
-    assert np.array_equal(bm.load_model(path).predict_proba(X), forest.predict_proba(X))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from zeroshap import base_models as bm
 from zeroshap import explainer as ex
 from zeroshap.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 
@@ -31,6 +30,7 @@ def _edit(edit):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_edit(lambda h: h["arrays"][0].update(dtype="<f4")), "unknown dtype '<f4'"),
+    (_edit(lambda h: h["arrays"][0].update(dtype="<i8")), "unknown dtype '<i8'"),
     (_edit(lambda h: h.pop("arrays")), "'arrays'"),
     (_edit(lambda h: h["arrays"][0].pop("name")), "'name'"),
     (_edit(lambda h: h["arrays"][0].pop("shape")), "'shape'"),
@@ -39,11 +39,11 @@ def _edit(edit):
     (lambda b: b[:-1] + b"!", "does not parse"),
     (lambda b: b"\xff" + b[1:], "does not parse"),
     (lambda b: b"[" + b + b"]", "not a JSON object"),
-], ids=["dtype-f4", "no-arrays", "no-name", "no-shape", "no-dtype", "negative-shape",
+], ids=["dtype-f4", "dtype-i8", "no-arrays", "no-name", "no-shape", "no-dtype", "negative-shape",
         "bad-json", "bad-utf8", "not-object"])
 def test_corrupt_header_raises_checkpoint_error(tmp_path, corrupt, message):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, "mlp", {"w0": np.arange(6.0).reshape(2, 3), "n": np.arange(3)})
+    path = tmp_path / "explainer.ckpt"
+    save_checkpoint(path, "explainer", {"w0": np.arange(6.0).reshape(2, 3), "n": np.arange(3.0)})
     header_bytes, body = _header(path)
     _rewrite(path, corrupt(header_bytes), body)
     with pytest.raises(CheckpointError, match=message):
@@ -54,36 +54,30 @@ def test_corrupt_header_raises_checkpoint_error(tmp_path, corrupt, message):
 def test_scalar_and_transposed_arrays_round_trip(tmp_path):
     path = tmp_path / "arrays.ckpt"
     matrix = np.arange(6.0).reshape(2, 3)
-    save_checkpoint(path, "test", {"s": np.array(2.5), "k": np.array(3), "t": matrix.T})
-    arrays, _, _ = load_checkpoint(path, expected_kind="test")
+    save_checkpoint(path, "explainer", {"s": np.array(2.5), "t": matrix.T})
+    arrays, _, _ = load_checkpoint(path, expected_kind="explainer")
     assert arrays["s"].shape == () and arrays["s"] == 2.5
-    assert arrays["k"].shape == () and arrays["k"].dtype == np.dtype("<i8") and arrays["k"] == 3
     assert np.array_equal(arrays["t"], matrix.T)
 
 
-# ---- checkpoints whose bytes are damaged, or whose header does not fit the model ----
+@pytest.mark.parametrize("array", [np.arange(3), np.array([True, False])], ids=["int", "bool"])
+def test_save_refuses_arrays_that_are_not_float(tmp_path, array):
+    path = tmp_path / "explainer.ckpt"
+    with pytest.raises(CheckpointError, match=f"unsupported dtype {array.dtype} for array 'a'"):
+        save_checkpoint(path, "explainer", {"a": array})
+    assert not path.exists()
+
+
+# ---- checkpoints whose bytes are damaged, or whose header does not fit the explainer ----
 
 _MICRO = ex.ExplainerConfig(embed_dim=8, n_layers=1, n_heads=2, n_buckets=4, max_features=3,
                             max_context_rows=32)
 
 
-def _saved_models(path):
-    """A small explainer, MLP and forest checkpoint under ``path``.
-
-    Returns, per kind, the loader and a function that runs a loaded model on
-    a fixed (6, 2) input.
-    """
+def _saved_explainer(path):
+    """A small explainer checkpoint at ``path``."""
     rng = np.random.default_rng(3)
-    X = rng.normal(size=(32, 2))
-    y = (X[:, 0] > 0).astype(float)
-    ex.save_weights(path / "explainer.ckpt",
-                    ex.ExplainerWeights(ex.init_params(_MICRO, rng)[1], _MICRO, {"steps": 0}))
-    bm.save_model(path / "mlp.ckpt", bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(3,), epochs=2)))
-    bm.save_model(path / "forest.ckpt", bm.train_forest(X, y, bm.ForestConfig(n_estimators=2, max_depth=2)))
-    Xq, yq = X[:6], rng.uniform(size=6)
-    return {"explainer": (ex.load_weights, lambda w: ex.explain_zero_shot(w, Xq, yq)),
-            "mlp": (bm.load_model, lambda model: model.predict(Xq)),
-            "forest": (bm.load_model, lambda model: model.predict_proba(Xq))}
+    ex.save_weights(path, ex.ExplainerWeights(ex.init_params(_MICRO, rng)[1], _MICRO, {"steps": 0}))
 
 
 # renamed keys and arrays and heads that do not divide embed_dim: test_cli
@@ -96,8 +90,8 @@ def _saved_models(path):
     (lambda arrays, config: config.update(max_context_rows=0), "max_context_rows must be at least 2"),
 ], ids=["zero-heads", "string-dim", "extra-layer", "short-array", "nan-weight", "no-context-rows"])
 def test_explainer_checkpoint_that_does_not_fit_raises_checkpoint_error(tmp_path, edit, message):
-    _saved_models(tmp_path)
     path = tmp_path / "explainer.ckpt"
+    _saved_explainer(path)
     arrays, config, metadata = load_checkpoint(path)
     edit(arrays, config)
     save_checkpoint(path, "explainer", arrays, config=config, metadata=metadata)
@@ -106,28 +100,26 @@ def test_explainer_checkpoint_that_does_not_fit_raises_checkpoint_error(tmp_path
 
 
 @pytest.fixture(scope="module")
-def saved_models(tmp_path_factory):
-    path = tmp_path_factory.mktemp("models")
-    return {kind: ((path / f"{kind}.ckpt").read_bytes(), *use)
-            for kind, use in _saved_models(path).items()}
+def saved_explainer(tmp_path_factory):
+    path = tmp_path_factory.mktemp("explainer") / "explainer.ckpt"
+    _saved_explainer(path)
+    return path.read_bytes()
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(kind=st.sampled_from(["explainer", "mlp", "forest"]),
-       damages=st.lists(st.tuples(st.sampled_from(["cut", "flip"]), st.booleans(),
+@given(damages=st.lists(st.tuples(st.sampled_from(["cut", "flip"]), st.booleans(),
                                   st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7)),
                         min_size=1, max_size=3))
-def test_damaged_checkpoint_loads_or_raises_checkpoint_error(saved_models, tmp_path, kind, damages):
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(saved_explainer, tmp_path, damages):
     """Truncated or bit-flipped checkpoints give CheckpointError and nothing else, and
-    a model that loads runs to the end.
+    an explainer that loads runs to the end.
 
     Half the damage lands in the magic, length and JSON header, which are a
     small share of the file. A flipped weight may still be finite and huge,
-    so the outputs of a model that loads are not required to be finite.
+    so the outputs of an explainer that loads are not required to be finite.
     """
-    intact, load, run = saved_models[kind]
-    raw = bytearray(intact)
-    (header_len,) = struct.unpack("<Q", intact[len(MAGIC) : len(MAGIC) + 8])
+    raw = bytearray(saved_explainer)
+    (header_len,) = struct.unpack("<Q", saved_explainer[len(MAGIC) : len(MAGIC) + 8])
     header_end = len(MAGIC) + 8 + header_len
     for how, in_header, where, bit in damages:
         if not raw:
@@ -137,11 +129,12 @@ def test_damaged_checkpoint_loads_or_raises_checkpoint_error(saved_models, tmp_p
             del raw[pos:]
         else:
             raw[pos] ^= 1 << bit
-    path = tmp_path / f"{kind}.ckpt"
+    path = tmp_path / "explainer.ckpt"
     path.write_bytes(bytes(raw))
     try:
-        model = load(path)
+        weights = ex.load_weights(path)
     except CheckpointError:
         return
+    rng = np.random.default_rng(3)
     with np.errstate(all="ignore"):
-        assert run(model).shape[0] == 6
+        assert ex.explain_zero_shot(weights, rng.normal(size=(6, 2)), rng.uniform(size=6)).shape[0] == 6

@@ -1,15 +1,17 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zeroshap import base_models as bm
 from zeroshap import cli
-from zeroshap.config import ConfigError, RunConfig
+from zeroshap import pool as pl
+from zeroshap.config import DEFAULTS, ConfigError, RunConfig
 from zeroshap.explainer import ExplainerConfig
 from zeroshap.pool import PoolBuildConfig
+from zeroshap.scm import TaskRejected
 
 
 @pytest.fixture(scope="module")
@@ -180,79 +182,33 @@ def test_explain_rerun_byte_identical(workspace, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_explain_reads_the_prediction_column_by_its_name(workspace, tmp_path):
+    """A table whose prediction column is named ``score``, and comes first, explains as the
+    same table with its column named ``prediction`` does, whichever way the name is given."""
+    _, config = workspace
+    csv_in = tmp_path / "query.csv"
+    _write_query_csv(csv_in, seed=4)
+    with open(csv_in, newline="") as fh:
+        rows = list(csv.reader(fh))
+    scored = tmp_path / "scored.csv"
+    with open(scored, "w", newline="") as fh:
+        csv.writer(fh).writerows([["score", *rows[0][:-1]]] + [[row[-1], *row[:-1]] for row in rows[1:]])
+    outputs = []
+    for table, name_args in ((csv_in, []), (scored, ["--prediction-column", "score"]),
+                             (scored, ["--set", "explain.prediction_column=score"])):
+        outputs.append(tmp_path / f"attr{len(outputs)}.csv")
+        assert cli.main(["explain", "--config", str(config), "--input", str(table),
+                         "--output", str(outputs[-1]), *name_args]) == 0
+    assert outputs[1].read_bytes() == outputs[0].read_bytes()
+    assert outputs[2].read_bytes() == outputs[0].read_bytes()
+
+
 def test_train_rerun_byte_identical(workspace, tmp_path):
     root, config = workspace
     ckpt_b = tmp_path / "retrain.ckpt"
     assert cli.main(["train", "--config", str(config), "--checkpoint", str(ckpt_b), "--quiet"]) == 0
     original = (root / "out" / "explainer.ckpt").read_bytes()
     assert ckpt_b.read_bytes() == original
-
-
-def test_shap_subcommand(workspace, tmp_path):
-    root, config = workspace
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(40, 3))
-    y = (X[:, 0] > 0).astype(float)
-    model = bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(12,), epochs=80))
-    model_path = tmp_path / "base.ckpt"
-    bm.save_model(model_path, model)
-    csv_in = tmp_path / "rows.csv"
-    with open(csv_in, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x0", "x1", "x2"])
-        for row in X[:6]:
-            writer.writerow([repr(float(v)) for v in row])
-    csv_out = tmp_path / "shap.csv"
-    assert cli.main([
-        "shap", "--config", str(config), "--model", str(model_path),
-        "--input", str(csv_in), "--output", str(csv_out),
-    ]) == 0
-    header, data = cli.read_csv_matrix(csv_out)
-    assert header == ["feature_1", "feature_2", "feature_3", "base_value"]
-    preds = model.predict(X[:6])
-    np.testing.assert_allclose(data[:, :3].sum(axis=1) + data[:, 3], preds, atol=1e-9)
-
-
-@pytest.mark.parametrize("kind", ["mlp", "forest"])
-def test_shap_feature_count_mismatch_fails_cleanly(tmp_path, capsys, kind):
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(40, 3))
-    y = (X[:, 0] > 0).astype(float)
-    if kind == "mlp":
-        model = bm.train_mlp(X, y, bm.MlpConfig(hidden_sizes=(4,), epochs=5))
-    else:
-        model = bm.train_forest(X, y, bm.ForestConfig(n_estimators=3, max_depth=2))
-    model_path = tmp_path / f"{kind}.ckpt"
-    bm.save_model(model_path, model)
-    csv_in = tmp_path / "rows.csv"
-    csv_in.write_text("x0,x1\n0.1,0.2\n0.3,0.4\n0.5,0.6\n")
-    csv_out = tmp_path / "shap.csv"
-    code = cli.main(["shap", "--model", str(model_path), "--input", str(csv_in),
-                     "--output", str(csv_out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and "2 feature columns; the model" in err and "takes 3" in err
-    assert "Traceback" not in err
-    assert not csv_out.exists()
-
-
-@pytest.mark.parametrize("override, message", [
-    ("shap.n_permutations=0", "shap: n_permutations must be at least 1, got 0"),
-    ("shap.background_size=0", "shap: background_size must be at least 1, got 0"),
-])
-def test_shap_out_of_range_shap_key_fails_cleanly(tmp_path, capsys, override, message):
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(40, 2))
-    model = bm.train_forest(X, (X[:, 0] > 0).astype(float), bm.ForestConfig(n_estimators=3, max_depth=2))
-    model_path = tmp_path / "forest.ckpt"
-    bm.save_model(model_path, model)
-    csv_in = tmp_path / "rows.csv"
-    csv_in.write_text("x0,x1\n0.1,0.2\n0.3,0.4\n")
-    csv_out = tmp_path / "shap.csv"
-    code = cli.main(["shap", "--model", str(model_path), "--input", str(csv_in),
-                     "--output", str(csv_out), "--set", override])
-    _fails_cleanly(code, capsys, "config error: ", message)
-    assert not csv_out.exists()
 
 
 def test_benchmark_table_structure(workspace):
@@ -413,18 +369,9 @@ def test_explain_checkpoint_directory_fails_cleanly(workspace, tmp_path, capsys)
     assert not csv_out.exists()
 
 
-@pytest.mark.parametrize("model", ["missing.ckpt", "."], ids=["missing", "directory"])
-def test_shap_unreadable_model_fails_cleanly(tmp_path, capsys, model):
-    csv_in, csv_out = _query_paths(tmp_path)
-    code = cli.main(["shap", "--model", str(tmp_path / model), "--input", str(csv_in),
-                     "--output", str(csv_out)])
-    _fails_cleanly(code, capsys, "cannot read")
-
-
-@pytest.mark.parametrize("command", ["generate", "train", "explain", "shap", "benchmark", "dag-recover"])
+@pytest.mark.parametrize("command", ["generate", "train", "explain", "benchmark", "dag-recover"])
 def test_missing_config_file_fails_cleanly(tmp_path, capsys, command):
-    extra = {"explain": ["--input", "in.csv", "--output", "out.csv"],
-             "shap": ["--model", "m.ckpt", "--input", "in.csv", "--output", "out.csv"]}
+    extra = {"explain": ["--input", "in.csv", "--output", "out.csv"]}
     code = cli.main([command, "--config", str(tmp_path / "missing.cfg"), *extra.get(command, [])])
     _fails_cleanly(code, capsys, "missing.cfg: cannot read")
 
@@ -472,10 +419,19 @@ OUT_OF_RANGE = [
     ("train", "explainer.max_features=1", "features, more than explainer.max_features = 1"),
     ("train", "explainer.max_context_rows=0", "explainer: max_context_rows must be at least 2, got 0"),
     ("train", "explainer.max_context_rows=1", "explainer: max_context_rows must be at least 2, got 1"),
+    ("train", "explainer.lr_low=0", "explainer: lr_low and lr_high must be finite with 0 < lr_low <= lr_high, "
+                                    "got 0.0 and 0.0001"),
+    ("train", "explainer.lr_high=-1", "with 0 < lr_low <= lr_high, got 0.0001 and -1.0"),
+    ("train", "explainer.lr_low=nan", "with 0 < lr_low <= lr_high, got nan and 0.0001"),
+    ("train", "explainer.embed_dim=0", "explainer: embed_dim and max_features must be at least 1, got 0 and 8"),
+    ("train", "seed=-1", "seed must not be negative, got -1"),
+    ("generate", "seed=-1", "seed must not be negative, got -1"),
+    ("generate", "pool.workers=0", "the worker count (--workers or pool.workers) must be at least 1, got 0"),
     ("generate", "pool.n_tasks=-2", "pool.n_tasks) must not be negative, got -2"),
     ("generate", "base.epochs=-1", "base: epochs must be at least 1, got -1"),
     ("generate", "base.epochs=0", "base: epochs must be at least 1, got 0"),
     ("generate", "base.lr0=0", "base: lr0 must be positive, got 0.0"),
+    ("generate", "base.lr0=inf", "base: lr0 must be finite, got inf"),
     ("generate", "base.hidden_sizes=0", "base: every hidden width must be at least 1, got (0,)"),
     ("generate", "base.kind=svm", "base: unknown base kind 'svm'"),
     ("generate", "gen.m_max=-1", "gen: m_max must be at least 1"),
@@ -495,6 +451,8 @@ OUT_OF_RANGE = [
     ("benchmark", "benchmark.n_tasks=0", "benchmark.n_tasks must be at least 1"),
     ("benchmark", "gen.n_range=10:12", "benchmark.base_kinds includes mlp, which needs at least 16"),
     ("benchmark", "benchmark.eval_epochs=0", "benchmark.eval_epochs must be at least 1, got 0"),
+    ("benchmark", "shap.n_permutations=0", "shap: n_permutations must be at least 1, got 0"),
+    ("benchmark", "shap.background_size=0", "shap: background_size must be at least 1, got 0"),
     ("dag-recover", "dag.node_range=5:4", "gen and dag.node_range: node_range must be within [2, 64]"),
     ("dag-recover", "dag.node_range=2:2", "edge recovery needs tasks with at least two features"),
     ("dag-recover", "dag.n_tasks=0", "dag.n_tasks must be at least 1, got 0"),
@@ -517,6 +475,80 @@ def test_out_of_range_config_value_fails_cleanly(workspace, tmp_path, capsys, mo
                      *extra.get(command, [])])
     _fails_cleanly(code, capsys, "config error: ", message)
     assert list(tmp_path.iterdir()) == []
+
+
+# one out-of-range value per key that a section builder reads, or that RunConfig.load checks
+BUILDER_OUT_OF_RANGE = [
+    ("seed", "-1", "seed must not be negative, got -1"),
+    ("gen.node_range", "1:4", "gen: node_range must be within [2, 64] and non-empty, got (1, 4)"),
+    ("gen.n_range", "40:30", "gen: n_range must be non-empty with at least 8 rows, got (40, 30)"),
+    ("gen.m_max", "0", "gen: m_max must be at least 1, got 0"),
+    ("gen.max_subgraphs", "0", "gen: max_subgraphs must be at least 1, got 0"),
+    ("gen.connect_prob", "-0.5", "gen: connect_prob must be within [0, 1], got -0.5"),
+    ("gen.redirect_dist", "foo", "gen: unknown redirect_dist 'foo'"),
+    ("base.kind", "svm", "base: unknown base kind 'svm'"),
+    ("base.hidden_sizes", "0", "base: every hidden width must be at least 1, got (0,)"),
+    ("base.epochs", "0", "base: epochs must be at least 1, got 0"),
+    ("base.lr0", "inf", "base: lr0 must be finite, got inf"),
+    ("shap.n_permutations", "0", "shap: n_permutations must be at least 1, got 0"),
+    ("shap.background_size", "0", "shap: background_size must be at least 1, got 0"),
+    ("shap.exact_prob", "1.5", "shap: exact_prob must be within [0, 1], got 1.5"),
+    ("explainer.embed_dim", "0", "explainer: embed_dim and max_features must be at least 1, got 0 and 10"),
+    ("explainer.n_layers", "-1", "explainer: n_layers must not be negative, got -1"),
+    ("explainer.n_heads", "0", "explainer: embed_dim must be divisible by n_heads"),
+    ("explainer.n_buckets", "1", "explainer: need at least two buckets"),
+    ("explainer.max_features", "0", "explainer: embed_dim and max_features must be at least 1, got 64 and 0"),
+    ("explainer.max_context_rows", "1", "explainer: max_context_rows must be at least 2, got 1"),
+    ("explainer.train_steps", "0", "explainer: train_steps and restarts must be at least 1, got 0 and 3"),
+    ("explainer.restarts", "0", "explainer: train_steps and restarts must be at least 1, got 3000 and 0"),
+    ("explainer.lr_low", "1e-3", "explainer: lr_low and lr_high must be finite with 0 < lr_low <= lr_high, "
+                                 "got 0.001 and 0.0001"),
+    ("explainer.lr_high", "inf", "with 0 < lr_low <= lr_high, got 1e-07 and inf"),
+    ("dag.node_range", "5:4", "gen and dag.node_range: node_range must be within [2, 64] and non-empty"),
+]
+# keys every value of which is in range
+NO_OUT_OF_RANGE = {
+    "output_dir": "a directory",
+    "pool.path": "a directory",
+    "shap.exact_max_features": "a threshold on the feature count: every integer picks an estimator",
+    "explain.prediction_column": "a column name; a table without that column is an input error",
+}
+
+
+@pytest.mark.parametrize("key, value, message", BUILDER_OUT_OF_RANGE,
+                         ids=[f"{key}={value}" for key, value, _ in BUILDER_OUT_OF_RANGE])
+def test_section_builders_refuse_an_out_of_range_value(key, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg = RunConfig.load(None, {key: value})
+        cfg.pool_build_config()  # the gen, base and shap sections
+        cfg.explainer_config()
+        cfg.task_gen_config(node_range_key="dag.node_range")
+
+
+def test_every_config_key_has_an_out_of_range_row_or_none():
+    """A key is refused out of range by a section builder, or by the subcommand that reads it
+    (``OUT_OF_RANGE``), or has no out-of-range value."""
+    subcommand_keys = {override.partition("=")[0] for _, override, _ in OUT_OF_RANGE}
+    builder_keys = {key for key, _, _ in BUILDER_OUT_OF_RANGE}
+    assert builder_keys | subcommand_keys | NO_OUT_OF_RANGE.keys() == DEFAULTS.keys()
+    assert not NO_OUT_OF_RANGE.keys() & (builder_keys | subcommand_keys)
+
+
+def test_generate_ends_a_task_index_rejected_every_time_in_one_error_line(tmp_path, capsys, monkeypatch):
+    def rejected(seed, gen_cfg):
+        raise TaskRejected("target column produced single-class labels twice")
+
+    monkeypatch.setattr(pl, "sample_task", rejected)
+    assert cli.main(["generate", "--pool", str(tmp_path / "pool"), "--n-tasks", "2", "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: task index 0 rejected {pl.ENTRY_ATTEMPTS} times\n"
+
+
+def test_readme_quick_start_lists_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^zeroshap ([\w-]+)", quick_start, flags=re.MULTILINE)
+    usage = cli.build_parser().format_usage()
+    assert listed == re.search(r"\{([^}]*)\}", usage).group(1).split(",")
 
 
 def _narrow_checkpoint(root, tmp_path, max_features):

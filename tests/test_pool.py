@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import forest_predict
+from oracles import forest_predict, unstack
 from zeroshap import pool as pl
 from zeroshap.base_models import ForestModel, MlpConfig
 from zeroshap.scm import TaskGenConfig, sample_task
@@ -234,7 +234,7 @@ def test_forest_pool_entry_equals_the_per_tree_walk(tmp_path, monkeypatch, task_
     """The stacked forest walk changes no bit of a forest pool entry (n = 34 and 47, m = 4)."""
     cfg = pl.PoolBuildConfig(gen=FAST_GEN, base_kind="forest")
     shipped = pl.build_pool_entry(7, task_index, cfg)
-    monkeypatch.setattr(ForestModel, "predict_proba", lambda self, X: forest_predict(self.trees, X))
+    monkeypatch.setattr(ForestModel, "predict_proba", lambda self, X: forest_predict(unstack(self.stack), X))
     walked = pl.build_pool_entry(7, task_index, cfg)
     assert shipped.m == 4
     for name in ("phi", "y_hat"):
