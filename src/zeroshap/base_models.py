@@ -12,6 +12,20 @@ squared error for the few-shot forest-regressor surrogate, whose trees hold
 multi-output leaves. One bagging loop fits both forests, and one stacked
 walk predicts for both: their trees are concatenated once per model, and
 every (tree, row) pair descends one level per step.
+
+The builder grows a forest's trees in lockstep. Each tree keeps its own rng
+and an explicit preorder stack; each step pops one node of every tree, and
+one vectorized search scores the cuts of all the step's (node, candidate
+feature) pairs, on columns sorted once per tree. It keeps the bits of a
+depth-first recursion that sorts each node's rows afresh
+(``tests/oracles.py``): nodes are numbered and the rngs drawn from in the
+same preorder; filtering a tree's stable sort by node membership gives each
+node's rows in the order of a stable sort of its own; ties go to the first
+cut, then to the first candidate; thresholds and costs are the same
+expressions; and on 0/1 labels every count is a whole number, so a leaf's
+``ones / count`` is the mean of its labels. Real-valued leaves are means of
+their node's rows, as before. The surrogate's trees share one rng, so each
+bootstrap follows the previous tree's draws: they grow one tree at a time.
 """
 
 from __future__ import annotations
@@ -220,114 +234,166 @@ class Tree:
     value: np.ndarray
 
 
-def _gini_best_split(col: np.ndarray, y: np.ndarray):
-    """Best (threshold, impurity) over the cuts between distinct values of one column, or None."""
-    order = np.argsort(col, kind="stable")
-    xs, ys = col[order], y[order]
-    n = xs.size
-    ones = np.cumsum(ys)
-    total1 = ones[-1]
-    left_n = np.arange(1, n)
-    right_n = n - left_n
-    left1 = ones[:-1]
-    right1 = total1 - left1
-    p1l = left1 / left_n
-    p1r = right1 / right_n
-    gini = left_n * (2 * p1l * (1 - p1l)) + right_n * (2 * p1r * (1 - p1r))
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    gini = np.where(valid, gini, np.inf)
-    best = int(np.argmin(gini))
-    threshold = 0.5 * (xs[best] + xs[best + 1])
-    return threshold, gini[best] / n
+def _cut_costs(xs: np.ndarray, ys: np.ndarray, count: np.ndarray):
+    """Each node's cheapest cut of one candidate column: (has a cut, cost, threshold).
 
-
-def _variance_best_split(col: np.ndarray, Y: np.ndarray):
-    """Best (threshold, squared error summed over the outputs of Y (n, d)), or None."""
-    order = np.argsort(col, kind="stable")
-    xs = col[order]
-    ys = Y[order]
-    n = xs.shape[0]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    total_sum, total_sq = csum[-1], csq[-1]
-    left_n = np.arange(1, n)[:, None]
-    right_n = n - left_n
-    left_sum, left_sq = csum[:-1], csq[:-1]
-    sse_left = (left_sq - left_sum**2 / left_n).sum(axis=1)
-    sse_right = ((total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n).sum(axis=1)
-    cost = sse_left + sse_right
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    cost = np.where(valid, cost, np.inf)
-    best = int(np.argmin(cost))
-    return 0.5 * (xs[best] + xs[best + 1]), cost[best]
-
-
-def _fit_tree(X: np.ndarray, Y: np.ndarray, max_depth: int, rng, split) -> Tree:
-    """Depth-first CART on the rows of X against targets Y, (n,) or (n, d).
-
-    A node is a leaf at ``max_depth``, below two rows, or when its targets are
-    pure: all within ``np.allclose``'s default tolerance of its first row (on
-    0/1 labels, all equal). Otherwise it draws round(sqrt(m)) candidate features from ``rng``
-    and takes the cheapest cut ``split(column, targets)`` finds among them;
-    rows at or below the threshold go left.
+    Row k of ``xs`` holds ``count[k]`` values of one candidate column in
+    ascending order, rows at or past ``count[k]`` being padding, and ``ys``
+    their targets: 0/1 labels, scored by Gini impurity over the node's row
+    count, or (k, L, d) targets, scored by squared error summed over the d
+    outputs. A cut lies between two distinct neighbouring values; ties go to
+    the first cut. Every expression is the per-node one of the recursive
+    builder in ``tests/oracles.py``, so the costs and thresholds keep its bits.
     """
-    m = X.shape[1]
-    n_candidates = max(1, int(round(math.sqrt(m))))
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def build(idx: np.ndarray, depth: int) -> int:
-        node = len(feature)
-        Yn = Y[idx]
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(Yn.mean(axis=0))
-        first = Yn[0]
-        if (depth >= max_depth or idx.size < 2
-                or (np.abs(Yn - first) <= 1e-8 + 1e-5 * np.abs(first)).all()):
-            return node
-        if n_candidates < m:
-            candidates = np.sort(rng.choice(m, size=n_candidates, replace=False))
+    rows = np.arange(xs.shape[0])
+    left_n = np.arange(1, xs.shape[1])
+    valid = (left_n < count[:, None]) & (xs[:, 1:] != xs[:, :-1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # padding cuts have no right rows
+        if ys.ndim == 2:
+            ones = np.cumsum(ys, axis=1)  # whole numbers, so exact in any grouping
+            right_n = count[:, None] - left_n
+            left1 = ones[:, :-1]
+            right1 = ones[rows, count - 1][:, None] - left1
+            p1l = left1 / left_n
+            p1r = right1 / right_n
+            cost = left_n * (2 * p1l * (1 - p1l)) + right_n * (2 * p1r * (1 - p1r))
         else:
-            candidates = range(m)
-        best = None
-        for f in candidates:
-            res = split(X[idx, f], Yn)
-            if res is not None and (best is None or res[1] < best[2]):
-                best = (int(f), res[0], res[1])
-        if best is None:
-            return node
-        f, thr, _ = best
-        mask = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = float(thr)
-        left[node] = build(idx[mask], depth + 1)
-        right[node] = build(idx[~mask], depth + 1)
-        return node
-
-    build(np.arange(X.shape[0]), 0)
-    return Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value),
-    )
+            csum = np.cumsum(ys, axis=1)
+            csq = np.cumsum(ys * ys, axis=1)
+            total_sum, total_sq = csum[rows, count - 1][:, None], csq[rows, count - 1][:, None]
+            left_n = left_n[:, None]
+            right_n = count[:, None, None] - left_n
+            left_sum, left_sq = csum[:, :-1], csq[:, :-1]
+            sse_left = (left_sq - left_sum**2 / left_n).sum(axis=2)
+            sse_right = ((total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n).sum(axis=2)
+            cost = sse_left + sse_right
+    cost = np.where(valid, cost, np.inf)
+    best = np.argmin(cost, axis=1)
+    cost = cost[rows, best]
+    if ys.ndim == 2:
+        cost = cost / count
+    return valid.any(axis=1), cost, 0.5 * (xs[rows, best] + xs[rows, best + 1])
 
 
-def _fit_bagged(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int, split) -> TreeStack:
-    """One tree per rng of ``rngs``: each draws a bootstrap sample of the rows, then grows
-    ``_fit_tree`` on it; the trees come back stacked."""
-    trees = []
-    for rng in rngs:
-        idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(_fit_tree(X[idx], Y[idx], max_depth, rng, split))
-    return stack_trees(trees)
+def _grow_trees(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int) -> list[Tree]:
+    """One CART tree per rng of ``rngs``, grown in lockstep; the rngs must be distinct.
+
+    Each rng draws its tree's bootstrap sample of the rows, then the tree's
+    candidate features. Targets are 0/1 labels (n,), split by Gini impurity,
+    or (n, d) targets, split by squared error summed over the outputs. A node
+    is a leaf at ``max_depth``, below two rows, or when its targets are pure:
+    all within ``np.allclose``'s default tolerance of its first row (on 0/1
+    labels, all equal). Otherwise it draws round(sqrt(m)) candidate features
+    and takes the cheapest cut among them, the first candidate winning a tie;
+    rows at or below the threshold go left.
+
+    Each step pops one node off the preorder stack of every tree that has one
+    left and scores the cuts of all their candidates at once; the module
+    docstring says why the trees are the recursive builder's, bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    n, m = X.shape
+    n_trees = len(rngs)
+    n_candidates = max(1, int(round(math.sqrt(m))))
+    labels = Y.ndim == 1
+    boot = np.array([rng.integers(0, n, size=n) for rng in rngs], dtype=np.int64).reshape(n_trees, n)
+    columns = X[boot].transpose(0, 2, 1)  # (tree, feature, bootstrap row)
+    order = np.argsort(columns, axis=2, kind="stable")
+    targets = Y[boot]
+
+    # nodes per tree: a cut leaves rows on both sides, so n rows make at most n leaves.
+    # An entry is a node on a stack, numbered when it is popped.
+    cap = min(2 * n - 1, 2 ** (max_depth + 1) - 1)
+    feature = np.full((n_trees, cap), -1, dtype=np.int64)
+    threshold = np.zeros((n_trees, cap))
+    links = np.full((n_trees, 2 * cap), -1, dtype=np.int64)  # left, right of each node
+    value = np.empty((n_trees, cap) + Y.shape[1:])
+    size = np.zeros(n_trees, dtype=np.int64)
+    owner = np.zeros((n_trees, n), dtype=np.int64)  # the entry holding each bootstrap row
+    stack = np.zeros((n_trees, cap), dtype=np.int64)
+    top = np.ones(n_trees, dtype=np.int64)
+    entry_depth = np.zeros((n_trees, cap), dtype=np.int64)
+    entry_link = np.full((n_trees, cap), -1, dtype=np.int64)  # parent's slot in links
+    entries = np.ones(n_trees, dtype=np.int64)
+    while True:
+        t = np.flatnonzero(top)
+        if not t.size:
+            break
+        top[t] -= 1
+        e = stack[t, top[t]]
+        node = size[t]
+        size[t] += 1
+        link = entry_link[t, e]
+        child = link >= 0
+        links[t[child], link[child]] = node[child]
+        depth = entry_depth[t, e]
+        member = owner[t] == e[:, None]
+        count = member.sum(axis=1)
+        if labels:
+            ones = np.where(member, targets[t], 0.0).sum(axis=1)
+            value[t, node] = ones / count
+            pure = (ones == 0) | (ones == count)
+        else:
+            pure = np.empty(t.size, dtype=bool)
+            for i in range(t.size):
+                Yn = targets[t[i], member[i]]
+                value[t[i], node[i]] = Yn.mean(axis=0)
+                first = Yn[0]
+                pure[i] = (np.abs(Yn - first) <= 1e-8 + 1e-5 * np.abs(first)).all()
+        g = np.flatnonzero((depth < max_depth) & (count >= 2) & ~pure)
+        if not g.size:
+            continue
+        tg, eg = t[g], e[g]
+        if n_candidates < m:
+            cand = np.array([np.sort(rngs[i].choice(m, size=n_candidates, replace=False)) for i in tg])
+        else:
+            cand = np.broadcast_to(np.arange(m), (g.size, m))
+        c = cand.shape[1]
+        tk, fk, ek, ck = np.repeat(tg, c), cand.ravel(), np.repeat(eg, c), np.repeat(count[g], c)
+        # each (node, candidate) pair's rows in the column's sorted order, moved to the front
+        ranked = order[tk, fk]
+        inside = owner[tk[:, None], ranked] == ek[:, None]
+        front = np.argsort(~inside, axis=1, kind="stable")[:, : int(ck.max())]
+        rows = np.take_along_axis(ranked, front, axis=1)
+        xs = columns[tk[:, None], fk[:, None], rows]
+        has_cut, cost, cut = (a.reshape(g.size, c) for a in _cut_costs(xs, targets[tk[:, None], rows], ck))
+        pick = np.full(g.size, -1)
+        best = np.empty(g.size)
+        for j in range(c):
+            better = has_cut[:, j] & ((pick < 0) | (cost[:, j] < best))
+            pick[better] = j
+            best[better] = cost[better, j]
+        s = np.flatnonzero(pick >= 0)
+        ts, ks, split = tg[s], node[g[s]], pick[s]
+        fs, cuts = cand[s, split], cut[s, split]
+        feature[ts, ks] = fs
+        threshold[ts, ks] = cuts
+        left = entries[ts]
+        entries[ts] += 2
+        goes = np.where(columns[ts, fs] <= cuts[:, None], left[:, None], left[:, None] + 1)
+        owner[ts] = np.where(member[g[s]], goes, owner[ts])
+        stack[ts, top[ts]] = left + 1
+        stack[ts, top[ts] + 1] = left
+        top[ts] += 2
+        entry_depth[ts, left] = entry_depth[ts, left + 1] = depth[g[s]] + 1
+        entry_link[ts, left] = 2 * ks
+        entry_link[ts, left + 1] = 2 * ks + 1
+    return [Tree(feature=feature[i, :k], threshold=threshold[i, :k], left=links[i, 0 : 2 * k : 2],
+                 right=links[i, 1 : 2 * k : 2], value=value[i, :k]) for i, k in enumerate(size)]
+
+
+def _fit_bagged(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int) -> TreeStack:
+    """One tree per rng of ``rngs``, as if each rng drew a bootstrap sample and then grew
+    its tree before the next rng's turn; the trees come back stacked.
+
+    Trees whose rngs are distinct grow in lockstep. A shared rng draws each
+    bootstrap after the previous tree's candidate features, so its trees grow
+    one at a time.
+    """
+    if len({id(rng) for rng in rngs}) == len(rngs):
+        return stack_trees(_grow_trees(X, Y, rngs, max_depth))
+    return stack_trees([tree for rng in rngs for tree in _grow_trees(X, Y, [rng], max_depth)])
 
 
 # ---- stacked walk ----
@@ -485,4 +551,4 @@ def train_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig | None = None) 
     if len(np.unique(y)) < 2 or not set(np.unique(y)) <= {0.0, 1.0}:
         raise ValueError("labels must be binary with both classes present")
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_estimators)]
-    return ForestModel(stack=_fit_bagged(X, y, rngs, cfg.max_depth, _gini_best_split), n_features=X.shape[1])
+    return ForestModel(stack=_fit_bagged(X, y, rngs, cfg.max_depth), n_features=X.shape[1])

@@ -108,6 +108,8 @@ def build_training_triplet(
         raise TaskRejected(f"base model training diverged: {exc}") from exc
 
     y_hat = predict_fn(X)
+    if (y_hat == y_hat[0]).all():
+        raise TaskRejected("base model predicts one constant value")
     result = hybrid_shapley(
         predict_fn,
         X,
@@ -116,6 +118,7 @@ def build_training_triplet(
             n_permutations=shap_cfg.n_permutations,
             background=subsample_background(X, rng, size=background_size),
             seed=shap_seed,
+            row_independent=base_kind == "forest",
         ),
     )
     provenance = {

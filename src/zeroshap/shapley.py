@@ -15,6 +15,16 @@ position in the call. OpenBLAS computes the last ``rows mod 4`` rows of a
 matrix product with a tail kernel, so an MLP's coalition values can move in
 the last bits (about 1e-17) when the background row count is not a multiple
 of 4.
+
+Two coalitions do not depend on the instance: the empty one, whose rows are
+the background and whose value is the base value, and the full one, whose
+rows are B copies of x. With ``ShapConfig.row_independent``, which the
+label factory sets for forests, neither is predicted per instance: the base
+value stands in for the empty one, and one call predicts every instance's x,
+whose B copies are then averaged as the coalition's rows would be. A forest
+walks each row alone, so its labels keep their bits. For an MLP, moving rows
+between calls moves them in the last bits, so MLP labels predict every
+coalition.
 """
 
 from __future__ import annotations
@@ -40,6 +50,10 @@ class ShapConfig:
     n_permutations: int = 200
     background: np.ndarray | None = None
     seed: int = 0
+    # predict_fn gives a row the same bits whatever else its call holds: then the
+    # empty and full coalitions, which do not depend on the instance, are not
+    # predicted per instance
+    row_independent: bool = False
 
     def __post_init__(self):
         if self.n_permutations < 1:
@@ -53,13 +67,19 @@ class ShapResult:
     estimator: str
 
 
-def _coalition_values(predict_fn, x: np.ndarray, members: np.ndarray, background) -> np.ndarray:
+def _coalition_values(predict_fn, x: np.ndarray, members: np.ndarray, background,
+                      ends=None) -> np.ndarray:
     """Mean prediction per coalition; ``members`` is a boolean (coalitions, m) matrix.
 
     Boolean rows rather than integer bitmasks, so that permutation sampling has
     no limit on m. Each slice holds as many whole coalitions as fit in ``ROWS_PER_CALL``
-    rows, and at least one.
+    rows, and at least one. ``ends``, if given, holds the values of the first
+    and last coalitions, which must be the empty and the full one; those two
+    are then not predicted.
     """
+    if ends is not None:
+        inner = _coalition_values(predict_fn, x, members[1:-1], background)
+        return np.concatenate(([ends[0]], inner, [ends[1]]))
     background = np.asarray(background, dtype=np.float64)
     if background.size == 0:
         raise ValueError("background set must be non-empty")
@@ -91,6 +111,11 @@ def shapley_weight(subset_size: int, m: int) -> float:
 def exact_shapley(predict_fn, x: np.ndarray, background: np.ndarray,
                   max_features: int = 10) -> np.ndarray:
     """Full coalition enumeration; 2^m coalition values shared across features."""
+    return _exact_shapley(predict_fn, x, background, max_features, None)
+
+
+def _exact_shapley(predict_fn, x, background, max_features: int, ends) -> np.ndarray:
+    """``exact_shapley``, with ``ends`` as in ``_coalition_values``."""
     x = np.asarray(x, dtype=np.float64).ravel()
     m = x.size
     if m > max_features:
@@ -98,7 +123,7 @@ def exact_shapley(predict_fn, x: np.ndarray, background: np.ndarray,
             f"{m} features exceeds the exact enumeration limit of {max_features}; use permutation sampling"
         )
     members = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(bool)
-    values = _coalition_values(predict_fn, x, members, background)
+    values = _coalition_values(predict_fn, x, members, background, ends)
     weights = np.array([shapley_weight(s, m) for s in range(m)])
     # every (coalition, feature outside it) pair, coalition-major
     mask, j = np.nonzero(~members)
@@ -117,21 +142,28 @@ def permutation_shapley(predict_fn, x: np.ndarray, background: np.ndarray,
     estimate: each permutation's telescoping sum is exact, so the estimator
     stays unbiased and exactly efficient per instance.
     """
+    return _permutation_shapley(predict_fn, x, background, n_perms, rng, None)
+
+
+def _permutation_shapley(predict_fn, x, background, n_perms: int, rng, ends) -> np.ndarray:
+    """``permutation_shapley``, with ``ends`` as in ``_coalition_values``: every order has
+    the empty and the full prefix."""
     x = np.asarray(x, dtype=np.float64).ravel()
     m = x.size
     orders = np.array([rng.permutation(m) for _ in range(n_perms)])
     # prefix k of an order holds the features whose rank in it is below k
     ranks = np.argsort(orders, axis=1)
     prefixes = (ranks[:, None, :] < np.arange(m + 1)[None, :, None]).reshape(-1, m)
-    # distinct prefixes by a sort over the rows: np.unique(axis=0) took 2 ms
-    # per instance at m = 5 and 200 orders, this about 0.1 ms
+    # distinct prefixes by a sort over the rows, which puts the empty one first and
+    # the full one last: np.unique(axis=0) took 2 ms per instance at m = 5 and
+    # 200 orders, this about 0.1 ms
     by_row = np.lexsort(prefixes.T)
     ordered = prefixes[by_row]
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inverse = np.empty(len(ordered), dtype=np.intp)
     inverse[by_row] = np.cumsum(first) - 1
-    values = _coalition_values(predict_fn, x, ordered[first], background)
+    values = _coalition_values(predict_fn, x, ordered[first], background, ends)
     prefix_values = values[inverse.reshape(n_perms, m + 1)]
     phi = np.zeros(m)
     # np.add.at adds in index order: per feature, the permutations' terms in draw order
@@ -151,12 +183,20 @@ def hybrid_shapley(predict_fn, X: np.ndarray, config: ShapConfig) -> ShapResult:
     estimator = "exact" if m <= config.exact_max_features else "permutation"
 
     base_value = coalition_value(predict_fn, X[0], [], background)
+    full = None
+    if config.row_independent:
+        # the full coalition's rows are B copies of x: the mean of B copies of its
+        # prediction, in the (coalitions, B) layout of _coalition_values, keeps the
+        # bits, where the prediction itself differs from it in the last bit
+        B = background.shape[0]
+        full = np.mean(np.repeat(np.reshape(predict_fn(X), (n, 1)), B, axis=1), axis=1)
 
     def explain_row(i: int) -> np.ndarray:
+        ends = None if full is None else (base_value, full[i])
         if estimator == "exact":
-            return exact_shapley(predict_fn, X[i], background, max_features=config.exact_max_features)
+            return _exact_shapley(predict_fn, X[i], background, config.exact_max_features, ends)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
-        return permutation_shapley(predict_fn, X[i], background, config.n_permutations, rng)
+        return _permutation_shapley(predict_fn, X[i], background, config.n_permutations, rng, ends)
 
     phi = np.vstack([explain_row(i) for i in range(n)])
     return ShapResult(phi=phi, base_value=base_value, estimator=estimator)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base_models import _fit_bagged, _fit_mlp, _variance_best_split
+from .base_models import _fit_bagged, _fit_mlp
 
 KNN_MAX_NEIGHBORS = 3
 MLP_HIDDEN = 32
@@ -148,8 +148,7 @@ def _predict_mlp(state, Z: np.ndarray) -> np.ndarray:
 
 def _fit_forest_regressor(refs: ReferenceSet, rng) -> dict:
     """Bootstrap samples and candidate features all come from the one shared ``rng``."""
-    return {"forest": _fit_bagged(refs.inputs(), refs.phi, [rng] * FOREST_SIZE, FOREST_DEPTH,
-                                  _variance_best_split)}
+    return {"forest": _fit_bagged(refs.inputs(), refs.phi, [rng] * FOREST_SIZE, FOREST_DEPTH)}
 
 
 def _predict_forest(state, Z: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ evaluated straight from the weighted-marginal-contribution definition with
 no coalition caching or reuse; the reference MLP fits take their gradients
 from the autodiff graph instead of the hand-written backward pass; and the
 reference Adam and explainer training loop step one parameter array at a
-time instead of one flat buffer. Trees are walked one at a time, each row
-leaving the walk at its own leaf, instead of in one stacked walk. The
-autodiff graph's gradients are checked against central differences.
+time instead of one flat buffer. Trees are grown one at a time by a
+depth-first recursion that sorts each node's rows afresh, instead of in
+lockstep, and walked one at a time, each row leaving the walk at its own
+leaf, instead of in one stacked walk. The autodiff graph's gradients are
+checked against central differences.
 """
 
 import math
@@ -279,3 +281,119 @@ def forest_predict(trees, X):
     for tree in trees[1:]:
         total = total + tree_predict(tree, X)
     return total / len(trees)
+
+
+def gini_best_split(col, y):
+    """Best (threshold, impurity) over the cuts between distinct values of one column, or None."""
+    order = np.argsort(col, kind="stable")
+    xs, ys = col[order], y[order]
+    n = xs.size
+    ones = np.cumsum(ys)
+    total1 = ones[-1]
+    left_n = np.arange(1, n)
+    right_n = n - left_n
+    left1 = ones[:-1]
+    right1 = total1 - left1
+    p1l = left1 / left_n
+    p1r = right1 / right_n
+    gini = left_n * (2 * p1l * (1 - p1l)) + right_n * (2 * p1r * (1 - p1r))
+    valid = xs[1:] != xs[:-1]
+    if not valid.any():
+        return None
+    gini = np.where(valid, gini, np.inf)
+    best = int(np.argmin(gini))
+    threshold = 0.5 * (xs[best] + xs[best + 1])
+    return threshold, gini[best] / n
+
+
+def variance_best_split(col, Y):
+    """Best (threshold, squared error summed over the outputs of Y (n, d)), or None."""
+    order = np.argsort(col, kind="stable")
+    xs = col[order]
+    ys = Y[order]
+    n = xs.shape[0]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    total_sum, total_sq = csum[-1], csq[-1]
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    left_sum, left_sq = csum[:-1], csq[:-1]
+    sse_left = (left_sq - left_sum**2 / left_n).sum(axis=1)
+    sse_right = ((total_sq - left_sq) - (total_sum - left_sum) ** 2 / right_n).sum(axis=1)
+    cost = sse_left + sse_right
+    valid = xs[1:] != xs[:-1]
+    if not valid.any():
+        return None
+    cost = np.where(valid, cost, np.inf)
+    best = int(np.argmin(cost))
+    return 0.5 * (xs[best] + xs[best + 1]), cost[best]
+
+
+def fit_tree(X, Y, max_depth, rng, split=None):
+    """Depth-first recursive CART on the rows of X against targets Y, (n,) or (n, d).
+
+    ``split`` defaults to Gini on a label column and to squared error on (n, d)
+    targets, as ``base_models``' lockstep builder chooses. A node is a leaf at
+    ``max_depth``, below two rows, or when its targets are pure: all within
+    ``np.allclose``'s default tolerance of its first row. Otherwise it draws
+    round(sqrt(m)) candidate features from ``rng`` and takes the cheapest cut
+    ``split(column, targets)`` finds among them; rows at or below the threshold
+    go left.
+    """
+    from zeroshap import base_models as bm
+
+    if split is None:
+        split = gini_best_split if Y.ndim == 1 else variance_best_split
+    m = X.shape[1]
+    n_candidates = max(1, int(round(math.sqrt(m))))
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(idx, depth):
+        node = len(feature)
+        Yn = Y[idx]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(Yn.mean(axis=0))
+        first = Yn[0]
+        if (depth >= max_depth or idx.size < 2
+                or (np.abs(Yn - first) <= 1e-8 + 1e-5 * np.abs(first)).all()):
+            return node
+        if n_candidates < m:
+            candidates = np.sort(rng.choice(m, size=n_candidates, replace=False))
+        else:
+            candidates = range(m)
+        best = None
+        for f in candidates:
+            res = split(X[idx, f], Yn)
+            if res is not None and (best is None or res[1] < best[2]):
+                best = (int(f), res[0], res[1])
+        if best is None:
+            return node
+        f, thr, _ = best
+        mask = X[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = float(thr)
+        left[node] = build(idx[mask], depth + 1)
+        right[node] = build(idx[~mask], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return bm.Tree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value),
+    )
+
+
+def bagged_trees(X, Y, rngs, max_depth):
+    """The trees of ``base_models._fit_bagged``, grown one after another: each rng of
+    ``rngs`` draws a bootstrap sample of the rows, then ``fit_tree`` grows on it."""
+    trees = []
+    for rng in rngs:
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(fit_tree(X[idx], Y[idx], max_depth, rng))
+    return trees

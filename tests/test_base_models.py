@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import autodiff_train_mlp, forest_predict, tree_predict, unstack
+from oracles import autodiff_train_mlp, bagged_trees, fit_tree, forest_predict, tree_predict, unstack
 from zeroshap import autodiff as ad
 from zeroshap import base_models as bm
 
@@ -159,7 +159,7 @@ def test_forest_single_tree_equals_cart_on_its_bootstrap():
     forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=1, seed=7))
     tree_rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
     idx = tree_rng.integers(0, 120, size=120)
-    tree = bm._fit_tree(X[idx], y[idx], 8, tree_rng, bm._gini_best_split)
+    tree = fit_tree(X[idx], y[idx], 8, tree_rng)
     for name in ("feature", "threshold", "left", "right", "value"):
         assert np.array_equal(getattr(unstack(forest.stack)[0], name), getattr(tree, name))
     assert forest.predict_proba(X).tobytes() == tree_predict(tree, X).tobytes()
@@ -169,7 +169,7 @@ def test_tree_multi_output_predict_matches_per_column_walks():
     rng = np.random.default_rng(15)
     X = rng.normal(size=(40, 4))
     Y = np.column_stack([2.0 * X[:, 0], np.sin(X[:, 1]), X[:, 2] * X[:, 3]])
-    tree = bm._fit_tree(X, Y, 4, rng, bm._variance_best_split)
+    tree = fit_tree(X, Y, 4, rng)
     assert (tree.feature >= 0).sum() >= 3
     assert tree.value.shape == (tree.feature.size, 3)
     Xq = rng.normal(size=(25, 4))
@@ -185,11 +185,48 @@ def test_tree_purity_is_np_allclose_to_the_first_row():
     X = rng.normal(size=(20, 2))
     Y = np.tile([0.3, -1.0], (20, 1)) + 1e-10 * rng.normal(size=(20, 2))
     assert np.allclose(Y, Y[0])
-    tree = bm._fit_tree(X, Y, 4, np.random.default_rng(0), bm._variance_best_split)
+    tree = fit_tree(X, Y, 4, np.random.default_rng(0))
     assert tree.feature.tolist() == [-1]
+    assert unstack(bm._fit_bagged(X, Y, [np.random.default_rng(0)], 4))[0].feature.tolist() == [-1]
     Y[5, 1] += 1e-4  # beyond rtol * |Y[0, 1]| + atol
-    tree = bm._fit_tree(X, Y, 4, np.random.default_rng(0), bm._variance_best_split)
+    tree = fit_tree(X, Y, 4, np.random.default_rng(0))
     assert tree.feature[0] >= 0
+    Y[10:, 1] += 1e-4  # so that every bootstrap sample holds rows off the first one
+    assert unstack(bm._fit_bagged(X, Y, [np.random.default_rng(0)], 4))[0].feature[0] >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 100), max_depth=st.integers(0, 9),
+       n=st.integers(2, 128), m=st.integers(1, 5), d=st.integers(0, 3), decimals=st.integers(0, 2))
+@example(seed=0, n_trees=100, max_depth=9, n=2, m=1, d=0, decimals=0)
+@example(seed=1, n_trees=30, max_depth=4, n=10, m=5, d=3, decimals=1)
+@example(seed=2, n_trees=100, max_depth=8, n=128, m=5, d=0, decimals=2)
+def test_lockstep_builder_equals_the_recursive_oracle(seed, n_trees, max_depth, n, m, d, decimals):
+    """Byte for byte, against the recursive builder of ``tests/oracles.py``. d = 0
+    fits a forest classifier, whose trees have rngs of their own and grow in
+    lockstep; bootstraps of few rows are often single-class and grow constant
+    trees. d >= 1 grows the regression trees of the few-shot surrogate, one at
+    a time on one shared rng, with (n_nodes, d) leaves. Columns are rounded to
+    ``decimals`` places, so that values tie."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, m)), decimals)
+    if d == 0:
+        y = rng.integers(0, 2, size=n).astype(float)
+        y[:2] = [0.0, 1.0]
+        stack = bm.train_forest(X, y, bm.ForestConfig(n_estimators=n_trees, max_depth=max_depth, seed=seed)).stack
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
+        want = bm.stack_trees(bagged_trees(X, y, rngs, max_depth))
+    else:
+        Y = np.round(rng.normal(size=(n, d)), decimals)
+        shared = np.random.default_rng(seed)
+        stack = bm._fit_bagged(X, Y, [shared] * n_trees, max_depth)
+        shared = np.random.default_rng(seed)
+        want = bm.stack_trees(bagged_trees(X, Y, [shared] * n_trees, max_depth))
+    for name in ("feature", "threshold", "children", "value", "roots"):
+        got, expected = getattr(stack, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
+    assert stack.depth == want.depth
 
 
 def test_forest_probabilities_in_range():
@@ -245,7 +282,7 @@ def test_stacked_walk_equals_the_per_tree_walks(seed, n_trees, max_depth, n_trai
         trees = []
         for _ in range(n_trees):
             idx = rng.integers(0, n_train, size=n_train)
-            trees.append(bm._fit_tree(X[idx], Y[idx], max_depth, rng, bm._variance_best_split))
+            trees.append(fit_tree(X[idx], Y[idx], max_depth, rng))
         stack = bm.stack_trees(trees)
         for tree, back in zip(trees, unstack(stack), strict=True):
             for name in ("feature", "threshold", "left", "right", "value"):

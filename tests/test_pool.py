@@ -1,15 +1,17 @@
 import json
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import forest_predict, unstack
+from oracles import bagged_trees, forest_predict, unstack
 from zeroshap import pool as pl
-from zeroshap.base_models import ForestModel, MlpConfig
-from zeroshap.scm import TaskGenConfig, sample_task
+from zeroshap import shapley as sh
+from zeroshap.base_models import ForestModel, MlpConfig, MlpModel, stack_trees
+from zeroshap.scm import TaskGenConfig, TaskRejected, sample_task
 from zeroshap.shapley import ShapConfig
 
 FAST_BASE = MlpConfig(hidden_sizes=(16,), epochs=120)
@@ -220,6 +222,37 @@ def test_build_triplet_permutation_seeds_agree():
     assert corr > 0.9
 
 
+def test_build_triplet_rejects_a_base_model_that_predicts_one_constant():
+    """An MLP fitted at lr0 = 1e300 saturates: on tasks 0 and 4 it predicts 1.0 and
+    0.0 on every row, whose labels would be exactly zero. Task 2 saturates on
+    some rows only and is kept."""
+    gen = TaskGenConfig(node_range=(3, 5), n_range=(24, 32))
+    base = MlpConfig(epochs=60, lr0=1e300)
+    with np.errstate(over="ignore"):
+        for task_seed in (0, 4):
+            with pytest.raises(TaskRejected, match="one constant value"):
+                pl.build_training_triplet(sample_task(task_seed, gen), base_cfg=base, rng=np.random.default_rng(0))
+        kept = pl.build_training_triplet(sample_task(2, gen), base_cfg=base, rng=np.random.default_rng(0))
+    assert np.ptp(kept.y_hat) > 0
+
+
+@pytest.mark.parametrize("estimator", ["exact", "permutation"])
+def test_mlp_entry_keeps_its_predict_call_plan(monkeypatch, estimator):
+    """MLP labels predict every coalition of every row, the empty and full ones
+    included: OpenBLAS rounds a row by its place in the call, so skipping a
+    coalition could move phi. An (n = 48, m = 3) entry with a 48-row background
+    predicts y_hat, then the base value, then per row its 8 coalitions in calls
+    of at most 256 rows (200 orders of 3 features hold all 8 as prefixes)."""
+    calls = []
+    predict = MlpModel.predict
+    monkeypatch.setattr(MlpModel, "predict", lambda self, X: calls.append(len(X)) or predict(self, X))
+    task = sample_task(3, TaskGenConfig(node_range=(3, 6), n_range=(48, 48), m_max=3))
+    assert task.X.shape == (48, 3)
+    pl.build_training_triplet(task, base_cfg=FAST_BASE, rng=np.random.default_rng(0),
+                              exact_prob=1.0 if estimator == "exact" else 0.0)
+    assert calls == [48, 48] + [5 * 48, 3 * 48] * 48
+
+
 def test_build_pool_entry_deterministic():
     cfg = pl.PoolBuildConfig(gen=FAST_GEN, base=FAST_BASE)
     a = pl.build_pool_entry(42, 3, cfg)
@@ -229,14 +262,30 @@ def test_build_pool_entry_deterministic():
     assert a.provenance == b.provenance
 
 
-@pytest.mark.parametrize("task_index", [1, 3], ids=["permutation", "exact"])
-def test_forest_pool_entry_equals_the_per_tree_walk(tmp_path, monkeypatch, task_index):
-    """The stacked forest walk changes no bit of a forest pool entry (n = 34 and 47, m = 4)."""
+@pytest.mark.parametrize("task_index, m", [(1, 4), (3, 4), (6, 1), (8, 2)],
+                         ids=["permutation", "exact", "permutation-m1", "exact-m2"])
+def test_forest_pool_entry_equals_the_per_tree_walk(tmp_path, monkeypatch, task_index, m):
+    """The lockstep builder, the stacked walk and the skipped empty and full
+    coalitions change no bit of a forest pool entry (n = 34, 47, 42 and 33). The
+    reference grows its trees with the recursive builder, walks them one at a
+    time and predicts every coalition."""
     cfg = pl.PoolBuildConfig(gen=FAST_GEN, base_kind="forest")
     shipped = pl.build_pool_entry(7, task_index, cfg)
+
+    def recursive_forest(X, y, forest_cfg):
+        seeds = np.random.SeedSequence(forest_cfg.seed).spawn(forest_cfg.n_estimators)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        return ForestModel(stack=stack_trees(bagged_trees(X, y, rngs, forest_cfg.max_depth)), n_features=X.shape[1])
+
+    def every_coalition(predict_fn, X, config):
+        assert config.row_independent
+        return sh.hybrid_shapley(predict_fn, X, replace(config, row_independent=False))
+
+    monkeypatch.setattr(pl, "train_forest", recursive_forest)
+    monkeypatch.setattr(pl, "hybrid_shapley", every_coalition)
     monkeypatch.setattr(ForestModel, "predict_proba", lambda self, X: forest_predict(unstack(self.stack), X))
     walked = pl.build_pool_entry(7, task_index, cfg)
-    assert shipped.m == 4
+    assert shipped.m == m
     for name in ("phi", "y_hat"):
         assert getattr(shipped, name).tobytes() == getattr(walked, name).tobytes()
     assert np.float64(shipped.base_value).tobytes() == np.float64(walked.base_value).tobytes()

@@ -325,3 +325,41 @@ def test_disconnected_feature_attributions_concentrate_near_zero():
                                sh.ShapConfig(background=task.X[:64], seed=0))
     mean_abs = np.abs(result.phi).mean(axis=0)
     assert mean_abs[1] < mean_abs[0]  # disconnected feature attribution is smaller
+
+
+@pytest.fixture(scope="module")
+def forests():
+    """One small forest per feature count m = 1..5, with rows to explain and a
+    pool of background rows; ties in the rounded columns put many rows on a
+    threshold."""
+    from zeroshap.base_models import ForestConfig, train_forest
+
+    out = {}
+    for m in range(1, 6):
+        rng = np.random.default_rng(40 + m)
+        X = np.round(rng.normal(size=(64, m)), 1)
+        y = (X.sum(axis=1) + rng.normal(size=64) > 0).astype(float)
+        out[m] = train_forest(X, y, ForestConfig(n_estimators=30, seed=m)), X
+    return out
+
+
+@pytest.mark.parametrize("B", [16, 34, 47, 48])
+@pytest.mark.parametrize("estimator", ["exact", "permutation"])
+def test_row_independent_skip_keeps_forest_labels_bitwise(forests, estimator, B):
+    """Taking the empty coalition from the base value and the full one from one
+    prediction of the rows changes no bit of phi or the base value, and saves
+    two coalitions of B rows per row explained."""
+    n = 6
+    for m, (forest, X) in forests.items():
+        results, rows = [], []
+        for skip in (False, True):
+            predict, calls = _counting(forest.predict_proba)
+            cfg = sh.ShapConfig(exact_max_features=m if estimator == "exact" else 0, n_permutations=40,
+                                background=X[-B:], seed=m, row_independent=skip)
+            results.append(sh.hybrid_shapley(predict, X[:n], cfg))
+            rows.append(sum(calls))
+        off, on = results
+        assert on.estimator == off.estimator == estimator
+        assert on.phi.tobytes() == off.phi.tobytes(), m
+        assert np.float64(on.base_value).tobytes() == np.float64(off.base_value).tobytes(), m
+        assert rows[1] == rows[0] - n * 2 * B + n, m
