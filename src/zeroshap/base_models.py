@@ -1,21 +1,23 @@
 """Base predictors used to label synthetic tasks and to serve as evaluation targets.
 
-The MLP classifier is fitted by this module's one numpy MLP fit, which the
-few-shot MLP-regressor surrogate shares: a hand-written forward/backward
-pass and the flat-buffer Adam step of ``autodiff``. The random forest is a
-bagged ensemble of Gini CART trees. Both predict class-1 probabilities;
-attribution ground truth is computed on the probability output.
+The MLP classifier is fitted by this module's one numpy MLP fit and read
+out by its one ReLU-MLP forward, ``MlpModel.readout``; the few-shot
+MLP-regressor surrogate is an ``MlpModel`` fitted the same way. The fit is a
+hand-written forward/backward pass and the flat-buffer Adam step of
+``autodiff``. The random forest is a bagged ensemble of Gini CART trees.
+Both classifiers predict class-1 probabilities; attribution ground truth is
+computed on the probability output.
 
-This module is the one home of CART: one builder with per-split feature
-subsampling and two split costs, Gini for the forest classifier and summed
-squared error for the few-shot forest-regressor surrogate, whose trees hold
-multi-output leaves. One bagging loop fits both forests, and one stacked
-walk predicts for both: their trees are concatenated once per model, and
+This module is the one home of CART: one builder, ``_fit_bagged``, with
+per-split feature subsampling and two split costs, Gini for the forest
+classifier and summed squared error for the few-shot forest-regressor
+surrogate, whose trees hold multi-output leaves. It fits both forests
+straight into a ``TreeStack``, whose one stacked walk predicts for both:
 every (tree, row) pair descends one level per step.
 
-The builder grows a forest's trees in lockstep. Each tree keeps its own rng
-and an explicit preorder stack; each step pops one node of every tree, and
-one vectorized search scores the cuts of all the step's (node, candidate
+The builder grows trees in lockstep. Each tree keeps its rng and an explicit
+preorder stack; each step pops one node of every growing tree, and one
+vectorized search scores the cuts of all the step's (node, candidate
 feature) pairs, on columns sorted once per tree. It keeps the bits of a
 depth-first recursion that sorts each node's rows afresh
 (``tests/oracles.py``): nodes are numbered and the rngs drawn from in the
@@ -24,8 +26,10 @@ node's rows in the order of a stable sort of its own; ties go to the first
 cut, then to the first candidate; thresholds and costs are the same
 expressions; and on 0/1 labels every count is a whole number, so a leaf's
 ``ones / count`` is the mean of its labels. Real-valued leaves are means of
-their node's rows, as before. The surrogate's trees share one rng, so each
-bootstrap follows the previous tree's draws: they grow one tree at a time.
+their node's rows, as before. A tree starts only once the tree before it on
+the same rng has finished, so the surrogate's trees, which share one rng,
+draw each bootstrap after the previous tree's draws and grow one at a time
+in the same loop.
 """
 
 from __future__ import annotations
@@ -102,11 +106,8 @@ class MlpModel:
     def n_features(self) -> int:
         return self.weights[0].shape[0]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Class-1 probabilities; deterministic, safe for concurrent callers."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected (n, {self.n_features}) inputs, got {X.shape}")
+    def readout(self, X: np.ndarray) -> np.ndarray:
+        """The (n, n_out) readout of the ReLU layers for float64 rows X; safe for concurrent callers."""
         h = X
         # one (rows, width) array per layer, updated in place: with three, whether glibc handed
         # the freed heap top back to the OS, to fault it in again on the next call, hung on the
@@ -115,7 +116,14 @@ class MlpModel:
             h = h @ W
             h += b
             np.maximum(h, 0.0, out=h)
-        logits = (h @ self.weights[-1] + self.biases[-1]).ravel()
+        return h @ self.weights[-1] + self.biases[-1]
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Class-1 probabilities; deterministic, safe for concurrent callers."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"expected (n, {self.n_features}) inputs, got {X.shape}")
+        logits = self.readout(X).ravel()
         return 1.0 / (1.0 + np.exp(-logits))
 
 
@@ -218,22 +226,6 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
 # ---- CART ----
 
 
-@dataclass
-class Tree:
-    """Flat-array CART: feature < 0 marks a leaf; value holds each node's mean target.
-
-    ``value`` is (n_nodes,) for a label column, where it is P(class 1), and
-    (n_nodes, d) for d outputs. Rows with ``x[feature] <= threshold`` go to
-    ``left``. Trees are predicted through a ``TreeStack``.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-
 def _cut_costs(xs: np.ndarray, ys: np.ndarray, count: np.ndarray):
     """Each node's cheapest cut of one candidate column: (has a cut, cost, threshold).
 
@@ -275,8 +267,8 @@ def _cut_costs(xs: np.ndarray, ys: np.ndarray, count: np.ndarray):
     return valid.any(axis=1), cost, 0.5 * (xs[rows, best] + xs[rows, best + 1])
 
 
-def _grow_trees(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int) -> list[Tree]:
-    """One CART tree per rng of ``rngs``, grown in lockstep; the rngs must be distinct.
+def _fit_bagged(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int) -> TreeStack:
+    """One CART tree per rng of ``rngs``, stacked in their order.
 
     Each rng draws its tree's bootstrap sample of the rows, then the tree's
     candidate features. Targets are 0/1 labels (n,), split by Gini impurity,
@@ -287,20 +279,31 @@ def _grow_trees(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int) -> list[Tree
     and takes the cheapest cut among them, the first candidate winning a tie;
     rows at or below the threshold go left.
 
-    Each step pops one node off the preorder stack of every tree that has one
-    left and scores the cuts of all their candidates at once; the module
-    docstring says why the trees are the recursive builder's, bit for bit.
+    A tree starts, drawing its bootstrap sample, once the tree before it on
+    the same rng has finished: trees on distinct rngs grow in lockstep, and
+    trees that share an rng grow one after another, as if each grew before
+    the next one's turn. Each step pops one node off the preorder stack of
+    every growing tree and scores the cuts of all their candidates at once;
+    the module docstring says why the trees are the recursive builder's, bit
+    for bit.
     """
+    if not rngs:
+        raise ValueError("a forest needs at least one tree")
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     n, m = X.shape
     n_trees = len(rngs)
     n_candidates = max(1, int(round(math.sqrt(m))))
     labels = Y.ndim == 1
-    boot = np.array([rng.integers(0, n, size=n) for rng in rngs], dtype=np.int64).reshape(n_trees, n)
-    columns = X[boot].transpose(0, 2, 1)  # (tree, feature, bootstrap row)
-    order = np.argsort(columns, axis=2, kind="stable")
-    targets = Y[boot]
+    after = np.full(n_trees, -1, dtype=np.int64)  # the tree after each one on the same rng, or -1
+    last: dict[int, int] = {}
+    for i, rng in enumerate(rngs):
+        if id(rng) in last:
+            after[last[id(rng)]] = i
+        last[id(rng)] = i
+    columns = np.empty((n_trees, m, n))  # (tree, feature, bootstrap row)
+    order = np.empty((n_trees, m, n), dtype=np.intp)
+    targets = np.empty((n_trees, n) + Y.shape[1:])
 
     # nodes per tree: a cut leaves rows on both sides, so n rows make at most n leaves.
     # An entry is a node on a stack, numbered when it is popped.
@@ -312,11 +315,29 @@ def _grow_trees(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int) -> list[Tree
     size = np.zeros(n_trees, dtype=np.int64)
     owner = np.zeros((n_trees, n), dtype=np.int64)  # the entry holding each bootstrap row
     stack = np.zeros((n_trees, cap), dtype=np.int64)
-    top = np.ones(n_trees, dtype=np.int64)
+    top = np.zeros(n_trees, dtype=np.int64)
     entry_depth = np.zeros((n_trees, cap), dtype=np.int64)
     entry_link = np.full((n_trees, cap), -1, dtype=np.int64)  # parent's slot in links
     entries = np.ones(n_trees, dtype=np.int64)
+
+    def start(trees):
+        """Draw the bootstrap samples of ``trees``, sort their columns and push their roots."""
+        boot = np.array([rngs[i].integers(0, n, size=n) for i in trees], dtype=np.int64).reshape(trees.size, n)
+        columns[trees] = X[boot].transpose(0, 2, 1)
+        order[trees] = np.argsort(columns[trees], axis=2, kind="stable")
+        targets[trees] = Y[boot]
+        top[trees] = 1
+
+    t = np.setdiff1d(np.arange(n_trees), after)  # the first tree on each rng
+    start(t)
+    waiting = n_trees - t.size
     while True:
+        if waiting and not top[t].all():
+            # a tree that finished on the last step hands its rng on to the next tree on it
+            nxt = after[t[top[t] == 0]]
+            nxt = nxt[nxt >= 0]
+            start(nxt)
+            waiting -= nxt.size
         t = np.flatnonzero(top)
         if not t.size:
             break
@@ -379,21 +400,20 @@ def _grow_trees(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int) -> list[Tree
         entry_depth[ts, left] = entry_depth[ts, left + 1] = depth[g[s]] + 1
         entry_link[ts, left] = 2 * ks
         entry_link[ts, left + 1] = 2 * ks + 1
-    return [Tree(feature=feature[i, :k], threshold=threshold[i, :k], left=links[i, 0 : 2 * k : 2],
-                 right=links[i, 1 : 2 * k : 2], value=value[i, :k]) for i, k in enumerate(size)]
 
-
-def _fit_bagged(X: np.ndarray, Y: np.ndarray, rngs, max_depth: int) -> TreeStack:
-    """One tree per rng of ``rngs``, as if each rng drew a bootstrap sample and then grew
-    its tree before the next rng's turn; the trees come back stacked.
-
-    Trees whose rngs are distinct grow in lockstep. A shared rng draws each
-    bootstrap after the previous tree's candidate features, so its trees grow
-    one at a time.
-    """
-    if len({id(rng) for rng in rngs}) == len(rngs):
-        return stack_trees(_grow_trees(X, Y, rngs, max_depth))
-    return stack_trees([tree for rng in rngs for tree in _grow_trees(X, Y, [rng], max_depth)])
+    # the trees' nodes one after another; a leaf tests feature 0 and links to itself, and
+    # every entry became a node, so the deepest entry gives the number of steps of a walk
+    grown = np.arange(cap) < size[:, None]
+    roots = np.concatenate(([0], np.cumsum(size)[:-1]))
+    feature = feature[grown]
+    leaf = feature < 0
+    itself = np.arange(feature.size)
+    offsets = np.repeat(roots, size)
+    children = np.where(leaf[:, None], itself[:, None],
+                        links.reshape(n_trees, cap, 2)[grown] + offsets[:, None])
+    return TreeStack(feature=np.where(leaf, 0, feature), threshold=threshold[grown],
+                     children=children.ravel(), value=value[grown], roots=roots,
+                     depth=int(entry_depth.max()))
 
 
 # ---- stacked walk ----
@@ -446,7 +466,7 @@ class TreeStack:
         Each row's leaf values are summed in tree order, starting from the
         first tree's, then divided by the tree count. The walk runs in this
         thread's work arrays; its takes clip rather than check their indices,
-        which ``stack_trees`` and the checks before it keep in range.
+        which ``_fit_bagged`` and the checks before it keep in range.
         """
         n, m = X.shape
         x_flat = X.ravel()
@@ -485,34 +505,6 @@ class TreeStack:
                 else:
                     total += leaf_values
         return total / self.roots.size
-
-
-def stack_trees(trees: list[Tree]) -> TreeStack:
-    """One ``TreeStack`` of ``trees``, whose children must come after their parent."""
-    if not trees:
-        raise ValueError("a forest needs at least one tree")
-    sizes = [tree.feature.shape[0] for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    offsets = np.repeat(roots, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    leaf = feature < 0
-    itself = np.arange(feature.size)
-    left = np.where(leaf, itself, np.concatenate([tree.left for tree in trees]) + offsets)
-    right = np.where(leaf, itself, np.concatenate([tree.right for tree in trees]) + offsets)
-    # one level per step from the roots
-    depth, level = 0, roots[~leaf[roots]]
-    while level.size:
-        below = np.concatenate([left[level], right[level]])
-        level = below[~leaf[below]]
-        depth += 1
-    return TreeStack(
-        feature=np.where(leaf, 0, feature),
-        threshold=np.concatenate([tree.threshold for tree in trees]),
-        children=np.column_stack([left, right]).ravel(),
-        value=np.concatenate([tree.value for tree in trees]),
-        roots=roots,
-        depth=depth,
-    )
 
 
 # ---- random forest ----

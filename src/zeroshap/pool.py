@@ -85,6 +85,11 @@ def build_training_triplet(
     label-generating process across the pool; every draw lands in provenance.
     Exact labelling needs ``task.m <= shap_cfg.exact_max_features``; the
     background is ``background_size`` rows subsampled from the task's X.
+
+    Of ``shap_cfg`` it reads only ``exact_max_features`` and
+    ``n_permutations``: the background and the Shapley seed are drawn here, and
+    ``row_independent`` is set from ``base_kind``, so a ``background``,
+    ``seed`` or ``row_independent`` in ``shap_cfg`` is ignored.
     """
     base_cfg = base_cfg or MlpConfig()
     shap_cfg = shap_cfg or ShapConfig()

@@ -187,40 +187,28 @@ def _attach(rng, node: int, existing: range, p: float, birth_parent: dict[int, i
     birth_parent[node] = chosen
 
 
-def _check_node_range(node_range: tuple[int, int]) -> None:
-    lo, hi = node_range
-    if lo > hi or lo < 2 or hi > 64:
-        raise ValueError(f"node_range must be within [2, 64] and non-empty, got {node_range}")
+def sample_dag(rng: np.random.Generator, cfg: TaskGenConfig) -> DagSpec:
+    """Sample a DAG of ``cfg.node_range`` nodes by sequential growth with redirection.
 
-
-def sample_dag(
-    rng: np.random.Generator,
-    node_range: tuple[int, int] = (2, 10),
-    redirect_dist: str = "gamma",
-    max_subgraphs: int = 1,
-    connect_prob: float = 0.5,
-) -> DagSpec:
-    """Sample a DAG by sequential growth with redirection.
-
-    With ``max_subgraphs > 1`` several independent subgraphs are grown and
-    each extra subgraph's root is attached back by one growth step with
-    probability ``connect_prob`` (it may stay disconnected otherwise).
+    The redirection probability is drawn by ``cfg.redirect_dist``. With
+    ``cfg.max_subgraphs > 1`` several independent subgraphs are grown and each
+    extra subgraph's root is attached back by one growth step with
+    probability ``cfg.connect_prob`` (it may stay disconnected otherwise).
     """
-    _check_node_range(node_range)
-    n_nodes = int(rng.integers(node_range[0], node_range[1] + 1))
+    n_nodes = int(rng.integers(cfg.node_range[0], cfg.node_range[1] + 1))
 
-    if redirect_dist == "gamma":
+    if cfg.redirect_dist == "gamma":
         p = float(np.clip(rng.gamma(REDIRECT_GAMMA_SHAPE, REDIRECT_GAMMA_SCALE), 0.0, 1.0))
-    elif redirect_dist == "uniform":
+    elif cfg.redirect_dist == "uniform":
         p = float(rng.uniform(0.0, 1.0))
-    elif redirect_dist == "zero":
+    elif cfg.redirect_dist == "zero":
         p = 0.0
     else:
-        raise ValueError(f"unknown redirect_dist {redirect_dist!r}")
+        raise ValueError(f"unknown redirect_dist {cfg.redirect_dist!r}")
 
     n_sub = 1
-    if max_subgraphs > 1 and n_nodes >= 4:
-        n_sub = int(rng.integers(1, min(max_subgraphs, n_nodes // 2) + 1))
+    if cfg.max_subgraphs > 1 and n_nodes >= 4:
+        n_sub = int(rng.integers(1, min(cfg.max_subgraphs, n_nodes // 2) + 1))
     # contiguous node-id blocks, each of size >= 2
     sizes = [2] * n_sub
     for _ in range(n_nodes - 2 * n_sub):
@@ -236,7 +224,7 @@ def sample_dag(
         for node in range(root + 1, root + size):
             _attach(rng, node, range(root, node), p, birth_parent, edges, activations)
     for root in roots[1:]:
-        if rng.uniform() < connect_prob:
+        if rng.uniform() < cfg.connect_prob:
             _attach(rng, root, range(root), p, birth_parent, edges, activations)
 
     noise = ["normal" if rng.uniform() < 0.5 else "uniform" for _ in range(n_nodes)]
@@ -288,8 +276,8 @@ def select_task(
     dag: DagSpec,
     values: np.ndarray,
     rng: np.random.Generator,
-    m_max: int = 10,
-    seed: int = 0,
+    m_max: int,
+    seed: int,
 ) -> ScmTask:
     """Pick feature nodes and a binary target thresholded at a random quantile."""
     n_nodes = dag.node_count
@@ -332,7 +320,9 @@ class TaskGenConfig:
     connect_prob: float = 0.5
 
     def __post_init__(self):
-        _check_node_range(self.node_range)
+        lo, hi = self.node_range
+        if lo > hi or lo < 2 or hi > 64:
+            raise ValueError(f"node_range must be within [2, 64] and non-empty, got {self.node_range}")
         lo, hi = self.n_range
         if lo > hi or lo < MIN_SAMPLES:
             raise ValueError(f"n_range must be non-empty with at least {MIN_SAMPLES} rows, got {self.n_range}")
@@ -353,13 +343,7 @@ def sample_task(seed: int, cfg: TaskGenConfig | None = None) -> ScmTask:
     for attempt in range(TASK_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         try:
-            dag = sample_dag(
-                rng,
-                node_range=cfg.node_range,
-                redirect_dist=cfg.redirect_dist,
-                max_subgraphs=cfg.max_subgraphs,
-                connect_prob=cfg.connect_prob,
-            )
+            dag = sample_dag(rng, cfg)
             n_samples = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
             values = propagate(dag, n_samples, rng)
             return select_task(dag, values, rng, m_max=cfg.m_max, seed=seed)

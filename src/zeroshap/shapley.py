@@ -4,10 +4,12 @@ Coalition values are expectations over a background set with in-coalition
 features overwritten by the explained row. One helper evaluates many
 coalitions at once: it builds their overwritten background copies with one
 ``np.where`` and predicts them in slices of at most ``ROWS_PER_CALL`` rows.
-``hybrid_shapley`` enumerates all 2^m coalitions of an instance exactly when
-m is at most ``ShapConfig.exact_max_features``, and reuses them across
-features; otherwise it samples feature orders and evaluates each distinct
-prefix coalition of them once.
+Each estimator is one function: ``exact_shapley`` enumerates all 2^m
+coalitions of an instance and reuses them across features, and
+``permutation_shapley`` samples feature orders and evaluates each distinct
+prefix coalition of them once. ``hybrid_shapley`` labels a table with the
+exact one when m is at most ``ShapConfig.exact_max_features``, and with the
+sampled one otherwise.
 
 The predictions of a coalition's rows are bit-identical to predicting those
 rows alone only when the model's arithmetic does not depend on a row's
@@ -21,7 +23,8 @@ the background and whose value is the base value, and the full one, whose
 rows are B copies of x. With ``ShapConfig.row_independent``, which the
 label factory sets for forests, neither is predicted per instance: the base
 value stands in for the empty one, and one call predicts every instance's x,
-whose B copies are then averaged as the coalition's rows would be. A forest
+whose B copies are then averaged as the coalition's rows would be. Both
+estimators take the two values as ``ends``. A forest
 walks each row alone, so its labels keep their bits. For an MLP, moving rows
 between calls moves them in the last bits, so MLP labels predict every
 coalition.
@@ -109,13 +112,12 @@ def shapley_weight(subset_size: int, m: int) -> float:
 
 
 def exact_shapley(predict_fn, x: np.ndarray, background: np.ndarray,
-                  max_features: int = 10) -> np.ndarray:
-    """Full coalition enumeration; 2^m coalition values shared across features."""
-    return _exact_shapley(predict_fn, x, background, max_features, None)
+                  max_features: int = 10, ends=None) -> np.ndarray:
+    """Full coalition enumeration; 2^m coalition values shared across features.
 
-
-def _exact_shapley(predict_fn, x, background, max_features: int, ends) -> np.ndarray:
-    """``exact_shapley``, with ``ends`` as in ``_coalition_values``."""
+    ``ends``, if given, holds the empty and the full coalition's values, as in
+    ``_coalition_values``.
+    """
     x = np.asarray(x, dtype=np.float64).ravel()
     m = x.size
     if m > max_features:
@@ -135,19 +137,15 @@ def _exact_shapley(predict_fn, x, background, max_features: int, ends) -> np.nda
 
 
 def permutation_shapley(predict_fn, x: np.ndarray, background: np.ndarray,
-                        n_perms: int, rng: np.random.Generator) -> np.ndarray:
+                        n_perms: int, rng: np.random.Generator, ends=None) -> np.ndarray:
     """Average prefix marginal contributions over sampled feature orders.
 
     Each distinct prefix coalition is evaluated once, which changes no
     estimate: each permutation's telescoping sum is exact, so the estimator
-    stays unbiased and exactly efficient per instance.
+    stays unbiased and exactly efficient per instance. ``ends``, if given,
+    holds the empty and the full coalition's values, as in
+    ``_coalition_values``: every order has the empty and the full prefix.
     """
-    return _permutation_shapley(predict_fn, x, background, n_perms, rng, None)
-
-
-def _permutation_shapley(predict_fn, x, background, n_perms: int, rng, ends) -> np.ndarray:
-    """``permutation_shapley``, with ``ends`` as in ``_coalition_values``: every order has
-    the empty and the full prefix."""
     x = np.asarray(x, dtype=np.float64).ravel()
     m = x.size
     orders = np.array([rng.permutation(m) for _ in range(n_perms)])
@@ -194,9 +192,9 @@ def hybrid_shapley(predict_fn, X: np.ndarray, config: ShapConfig) -> ShapResult:
     def explain_row(i: int) -> np.ndarray:
         ends = None if full is None else (base_value, full[i])
         if estimator == "exact":
-            return _exact_shapley(predict_fn, X[i], background, config.exact_max_features, ends)
+            return exact_shapley(predict_fn, X[i], background, config.exact_max_features, ends)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
-        return _permutation_shapley(predict_fn, X[i], background, config.n_permutations, rng, ends)
+        return permutation_shapley(predict_fn, X[i], background, config.n_permutations, rng, ends)
 
     phi = np.vstack([explain_row(i) for i in range(n)])
     return ShapResult(phi=phi, base_value=base_value, estimator=estimator)

@@ -3,20 +3,25 @@
 Each surrogate is a joint multi-output regression from (x, y_hat) to the
 full attribution vector; with k <= 10 supervision rows, per-feature models
 would be under-determined. Surrogates never see the base model, only the
-reference triplets and query (X, Y_hat) pairs. Neither fitted surrogate keeps
-training code of its own: the MLP regressor is fitted by the numpy MLP fit of
-``base_models`` on a squared-error readout gradient, and the forest
-regressor is bagged by ``base_models``' one bagging loop on the variance split
-cost and predicted by its stacked walk.
+reference triplets and query (X, Y_hat) pairs. A fitted surrogate holds its
+predictor, which maps the (n, m + 1) inputs to (n, m) attributions. The
+kNN predictor weights the nearest references by inverse distance. The two
+fitted surrogates keep no training or prediction code here: the MLP
+regressor is a ``base_models`` ``MlpModel``, fitted by its numpy MLP fit on
+a squared-error readout gradient and predicted by its readout, and the
+forest regressor is the ``TreeStack`` of ``base_models``' one CART builder,
+on the variance split cost, predicted by its stacked walk.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .base_models import _fit_bagged, _fit_mlp
+from .base_models import MlpModel, _fit_bagged, _fit_mlp
 
 KNN_MAX_NEIGHBORS = 3
 MLP_HIDDEN = 32
@@ -58,7 +63,8 @@ class ReferenceSet:
 class Surrogate:
     kind: str
     m: int
-    state: dict = field(repr=False, default_factory=dict)
+    # the fitted predictor: (n, m + 1) inputs, x then y_hat, to (n, m) attributions
+    predict: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 # every surrogate kind, with the fewest references it fits on
@@ -72,13 +78,13 @@ def fit_surrogate(kind: str, refs: ReferenceSet, rng: np.random.Generator | None
     if refs.k < MIN_REFS[kind]:
         raise ValueError(f"{kind} needs at least {MIN_REFS[kind]} references, got {refs.k}")
     if kind == "knn":
-        state = {"inputs": refs.inputs(), "phi": refs.phi.copy(),
-                 "n_neighbors": min(KNN_MAX_NEIGHBORS, refs.k)}
+        predict = partial(_predict_knn, refs.inputs(), refs.phi.copy(), min(KNN_MAX_NEIGHBORS, refs.k))
     elif kind == "mlp_regressor":
-        state = _fit_mlp_regressor(refs, rng)
+        predict = _fit_mlp_regressor(refs, rng).readout
     else:
-        state = _fit_forest_regressor(refs, rng)
-    return Surrogate(kind=kind, m=refs.m, state=state)
+        # bootstrap samples and candidate features all come from the one shared rng
+        predict = _fit_bagged(refs.inputs(), refs.phi, [rng] * FOREST_SIZE, FOREST_DEPTH).predict
+    return Surrogate(kind=kind, m=refs.m, predict=predict)
 
 
 def predict_surrogate(g: Surrogate, X: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
@@ -88,21 +94,12 @@ def predict_surrogate(g: Surrogate, X: np.ndarray, y_hat: np.ndarray) -> np.ndar
         raise ValueError(f"expected (n, {g.m}) queries, got {X.shape}")
     if y_hat.shape[0] != X.shape[0]:
         raise ValueError("y_hat length must match the query rows")
-    Z = np.column_stack([X, y_hat])
-    if g.kind == "knn":
-        return _predict_knn(g.state, Z)
-    if g.kind == "mlp_regressor":
-        return _predict_mlp(g.state, Z)
-    return _predict_forest(g.state, Z)
+    return g.predict(np.column_stack([X, y_hat]))
 
 
-# ---- kNN ----
-
-
-def _predict_knn(state, Z: np.ndarray) -> np.ndarray:
-    refs = state["inputs"]
-    phi = state["phi"]
-    nn = state["n_neighbors"]
+def _predict_knn(refs: np.ndarray, phi: np.ndarray, nn: int, Z: np.ndarray) -> np.ndarray:
+    """Inverse-distance mean of the ``nn`` nearest references' attributions; an exact
+    match takes the mean of the references it matches."""
     out = np.empty((Z.shape[0], phi.shape[1]))
     for i, z in enumerate(Z):
         d = np.sqrt(((refs - z) ** 2).sum(axis=1))
@@ -116,10 +113,7 @@ def _predict_knn(state, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---- small MSE-trained MLP ----
-
-
-def _fit_mlp_regressor(refs: ReferenceSet, rng) -> dict:
+def _fit_mlp_regressor(refs: ReferenceSet, rng) -> MlpModel:
     """One hidden layer fitted on the mean squared error through ``base_models._fit_mlp``.
 
     The readout gradient replays the autodiff graph of
@@ -134,22 +128,5 @@ def _fit_mlp_regressor(refs: ReferenceSet, rng) -> dict:
         g_diff = g_sq * (pred + neg_Y)
         return g_diff + g_diff
 
-    (w1, w2), (b1, b2) = _fit_mlp(Z, (MLP_HIDDEN,), refs.m, MLP_EPOCHS, rng, mse_grad, lambda t: MLP_LR)
-    return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
-
-
-def _predict_mlp(state, Z: np.ndarray) -> np.ndarray:
-    h = np.maximum(Z @ state["w1"] + state["b1"], 0.0)
-    return h @ state["w2"] + state["b2"]
-
-
-# ---- multi-output regression forest ----
-
-
-def _fit_forest_regressor(refs: ReferenceSet, rng) -> dict:
-    """Bootstrap samples and candidate features all come from the one shared ``rng``."""
-    return {"forest": _fit_bagged(refs.inputs(), refs.phi, [rng] * FOREST_SIZE, FOREST_DEPTH)}
-
-
-def _predict_forest(state, Z: np.ndarray) -> np.ndarray:
-    return state["forest"].predict(Z)
+    weights, biases = _fit_mlp(Z, (MLP_HIDDEN,), refs.m, MLP_EPOCHS, rng, mse_grad, lambda t: MLP_LR)
+    return MlpModel(weights=weights, biases=biases)

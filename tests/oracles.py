@@ -7,12 +7,14 @@ from the autodiff graph instead of the hand-written backward pass; and the
 reference Adam and explainer training loop step one parameter array at a
 time instead of one flat buffer. Trees are grown one at a time by a
 depth-first recursion that sorts each node's rows afresh, instead of in
-lockstep, and walked one at a time, each row leaving the walk at its own
+lockstep, stacked from those trees instead of straight from the builder's
+arrays, and walked one at a time, each row leaving the walk at its own
 leaf, instead of in one stacked walk. The autodiff graph's gradients are
 checked against central differences.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,7 +145,8 @@ def autodiff_train_mlp(X, y, cfg):
 
 def autodiff_fit_mlp_regressor(refs, rng):
     """Reference surrogate MLP fit: the MSE loss built as an autodiff graph each
-    epoch, stepped by ``reference_adam_step``; returns the surrogate's state dict."""
+    epoch, stepped by ``reference_adam_step``; returns the arrays w1, b1, w2 and b2
+    by name."""
     from zeroshap import autodiff as ad
     from zeroshap import surrogates as sg
 
@@ -234,18 +237,61 @@ def reference_explainer_train(pool_sampler, config, rng):
     return best
 
 
-def unstack(stack):
-    """The trees of a ``base_models.TreeStack`` one by one, with -1 as a leaf's feature
-    and links, as the builder writes them."""
+@dataclass
+class Tree:
+    """Flat-array CART: feature < 0 marks a leaf; value holds each node's mean target.
+
+    ``value`` is (n_nodes,) for a label column, where it is P(class 1), and
+    (n_nodes, d) for d outputs. Rows with ``x[feature] <= threshold`` go to
+    ``left``; a node's children come after it.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+
+def stack_trees(trees):
+    """The ``base_models.TreeStack`` of ``trees``, built from the trees one by one, as
+    ``base_models._fit_bagged`` builds it from its grown arrays."""
     from zeroshap import base_models as bm
 
+    sizes = [tree.feature.shape[0] for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    offsets = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature < 0
+    itself = np.arange(feature.size)
+    left = np.where(leaf, itself, np.concatenate([tree.left for tree in trees]) + offsets)
+    right = np.where(leaf, itself, np.concatenate([tree.right for tree in trees]) + offsets)
+    # one level per step from the roots
+    depth, level = 0, roots[~leaf[roots]]
+    while level.size:
+        below = np.concatenate([left[level], right[level]])
+        level = below[~leaf[below]]
+        depth += 1
+    return bm.TreeStack(
+        feature=np.where(leaf, 0, feature),
+        threshold=np.concatenate([tree.threshold for tree in trees]),
+        children=np.column_stack([left, right]).ravel(),
+        value=np.concatenate([tree.value for tree in trees]),
+        roots=roots,
+        depth=depth,
+    )
+
+
+def unstack(stack):
+    """The ``Tree``s of a ``base_models.TreeStack`` one by one, with -1 as a leaf's
+    feature and links: the inverse of ``stack_trees``."""
     itself = np.arange(stack.feature.size)
     left, right = stack.children[0::2], stack.children[1::2]
     leaf = left == itself  # a split's children come after it
     offsets = np.repeat(stack.roots, np.diff(np.append(stack.roots, itself.size)))
     arrays = (np.where(leaf, -1, stack.feature), stack.threshold, np.where(leaf, -1, left - offsets),
               np.where(leaf, -1, right - offsets), stack.value)
-    return [bm.Tree(*parts) for parts in zip(*(np.split(a, stack.roots[1:]) for a in arrays))]
+    return [Tree(*parts) for parts in zip(*(np.split(a, stack.roots[1:]) for a in arrays))]
 
 
 def tree_predict(tree, X):
@@ -340,8 +386,6 @@ def fit_tree(X, Y, max_depth, rng, split=None):
     ``split(column, targets)`` finds among them; rows at or below the threshold
     go left.
     """
-    from zeroshap import base_models as bm
-
     if split is None:
         split = gini_best_split if Y.ndim == 1 else variance_best_split
     m = X.shape[1]
@@ -380,7 +424,7 @@ def fit_tree(X, Y, max_depth, rng, split=None):
         return node
 
     build(np.arange(X.shape[0]), 0)
-    return bm.Tree(
+    return Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold),
         left=np.array(left, dtype=np.int64),
@@ -390,8 +434,10 @@ def fit_tree(X, Y, max_depth, rng, split=None):
 
 
 def bagged_trees(X, Y, rngs, max_depth):
-    """The trees of ``base_models._fit_bagged``, grown one after another: each rng of
-    ``rngs`` draws a bootstrap sample of the rows, then ``fit_tree`` grows on it."""
+    """The trees of ``base_models._fit_bagged``, grown one after another in list order:
+    each rng of ``rngs`` draws a bootstrap sample of the rows, then ``fit_tree`` grows
+    on it, so a tree on an rng shared with an earlier tree draws after that tree's
+    draws. ``stack_trees`` of them is the builder's ``TreeStack``."""
     trees = []
     for rng in rngs:
         idx = rng.integers(0, X.shape[0], size=X.shape[0])

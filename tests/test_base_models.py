@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import autodiff_train_mlp, bagged_trees, fit_tree, forest_predict, tree_predict, unstack
+from oracles import (Tree, autodiff_train_mlp, bagged_trees, fit_tree, forest_predict, stack_trees, tree_predict,
+                     unstack)
 from zeroshap import autodiff as ad
 from zeroshap import base_models as bm
 
@@ -173,10 +174,10 @@ def test_tree_multi_output_predict_matches_per_column_walks():
     assert (tree.feature >= 0).sum() >= 3
     assert tree.value.shape == (tree.feature.size, 3)
     Xq = rng.normal(size=(25, 4))
-    out = bm.stack_trees([tree]).predict(Xq)
+    out = stack_trees([tree]).predict(Xq)
     assert out.shape == (25, 3)
     for j in range(3):
-        column = bm.Tree(tree.feature, tree.threshold, tree.left, tree.right, tree.value[:, j].copy())
+        column = Tree(tree.feature, tree.threshold, tree.left, tree.right, tree.value[:, j].copy())
         assert out[:, j].tobytes() == tree_predict(column, Xq).tobytes()
 
 
@@ -197,31 +198,44 @@ def test_tree_purity_is_np_allclose_to_the_first_row():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_trees=st.integers(1, 100), max_depth=st.integers(0, 9),
-       n=st.integers(2, 128), m=st.integers(1, 5), d=st.integers(0, 3), decimals=st.integers(0, 2))
-@example(seed=0, n_trees=100, max_depth=9, n=2, m=1, d=0, decimals=0)
-@example(seed=1, n_trees=30, max_depth=4, n=10, m=5, d=3, decimals=1)
-@example(seed=2, n_trees=100, max_depth=8, n=128, m=5, d=0, decimals=2)
-def test_lockstep_builder_equals_the_recursive_oracle(seed, n_trees, max_depth, n, m, d, decimals):
-    """Byte for byte, against the recursive builder of ``tests/oracles.py``. d = 0
-    fits a forest classifier, whose trees have rngs of their own and grow in
-    lockstep; bootstraps of few rows are often single-class and grow constant
-    trees. d >= 1 grows the regression trees of the few-shot surrogate, one at
-    a time on one shared rng, with (n_nodes, d) leaves. Columns are rounded to
+       n=st.integers(2, 128), m=st.integers(1, 5), d=st.integers(0, 3), decimals=st.integers(0, 2),
+       sharing=st.none() | st.lists(st.integers(0, 3), min_size=1, max_size=12))
+@example(seed=0, n_trees=100, max_depth=9, n=2, m=1, d=0, decimals=0, sharing=None)
+@example(seed=1, n_trees=30, max_depth=4, n=10, m=5, d=3, decimals=1, sharing=None)
+@example(seed=2, n_trees=100, max_depth=8, n=128, m=5, d=0, decimals=2, sharing=None)
+@example(seed=3, n_trees=1, max_depth=4, n=40, m=4, d=0, decimals=1, sharing=[0, 1, 0, 2, 1])
+@example(seed=4, n_trees=1, max_depth=3, n=24, m=3, d=2, decimals=1, sharing=[0, 1, 0, 2, 1])
+def test_lockstep_builder_equals_the_recursive_oracle(seed, n_trees, max_depth, n, m, d, decimals, sharing):
+    """Byte for byte, against the recursive builder of ``tests/oracles.py``, which
+    grows the trees one after another. With ``sharing`` None, d = 0 fits a forest
+    classifier, whose trees have rngs of their own and grow in lockstep;
+    bootstraps of few rows are often single-class and grow constant trees. d >= 1
+    grows the regression trees of the few-shot surrogate, one at a time on one
+    shared rng, with (n_nodes, d) leaves. A ``sharing`` list instead names each
+    tree's rng, such as [a, b, a, c, b]: a tree waits for the one before it on
+    its rng, while trees on other rngs grow beside it. Columns are rounded to
     ``decimals`` places, so that values tie."""
     rng = np.random.default_rng(seed)
     X = np.round(rng.normal(size=(n, m)), decimals)
     if d == 0:
-        y = rng.integers(0, 2, size=n).astype(float)
-        y[:2] = [0.0, 1.0]
-        stack = bm.train_forest(X, y, bm.ForestConfig(n_estimators=n_trees, max_depth=max_depth, seed=seed)).stack
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
-        want = bm.stack_trees(bagged_trees(X, y, rngs, max_depth))
+        Y = rng.integers(0, 2, size=n).astype(float)
+        Y[:2] = [0.0, 1.0]
     else:
         Y = np.round(rng.normal(size=(n, d)), decimals)
-        shared = np.random.default_rng(seed)
-        stack = bm._fit_bagged(X, Y, [shared] * n_trees, max_depth)
-        shared = np.random.default_rng(seed)
-        want = bm.stack_trees(bagged_trees(X, Y, [shared] * n_trees, max_depth))
+
+    def tree_rngs():
+        if sharing is not None:
+            own = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(max(sharing) + 1)]
+            return [own[i] for i in sharing]
+        if d == 0:
+            return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
+        return [np.random.default_rng(seed)] * n_trees
+
+    if d == 0 and sharing is None:
+        stack = bm.train_forest(X, Y, bm.ForestConfig(n_estimators=n_trees, max_depth=max_depth, seed=seed)).stack
+    else:
+        stack = bm._fit_bagged(X, Y, tree_rngs(), max_depth)
+    want = stack_trees(bagged_trees(X, Y, tree_rngs(), max_depth))
     for name in ("feature", "threshold", "children", "value", "roots"):
         got, expected = getattr(stack, name), getattr(want, name)
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
@@ -245,7 +259,7 @@ def test_forest_tree_order_invariance():
     forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=8, seed=3))
     Xq = rng.normal(size=(20, 3))
     base = forest.predict_proba(Xq)
-    backwards = bm.ForestModel(stack=bm.stack_trees(unstack(forest.stack)[::-1]), n_features=3)
+    backwards = bm.ForestModel(stack=stack_trees(unstack(forest.stack)[::-1]), n_features=3)
     np.testing.assert_allclose(backwards.predict_proba(Xq), base, atol=1e-12)
 
 
@@ -283,7 +297,7 @@ def test_stacked_walk_equals_the_per_tree_walks(seed, n_trees, max_depth, n_trai
         for _ in range(n_trees):
             idx = rng.integers(0, n_train, size=n_train)
             trees.append(fit_tree(X[idx], Y[idx], max_depth, rng))
-        stack = bm.stack_trees(trees)
+        stack = stack_trees(trees)
         for tree, back in zip(trees, unstack(stack), strict=True):
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert getattr(back, name).tobytes() == getattr(tree, name).tobytes()
@@ -323,7 +337,7 @@ def test_stacked_walk_takes_the_depth_of_its_trees_not_of_the_config():
     y = (X[:, 0] * X[:, 1] > 0).astype(float)
     forest = bm.train_forest(X, y, bm.ForestConfig(n_estimators=4, max_depth=6, seed=2))
     assert forest.stack.depth == 6
-    restacked = bm.stack_trees(unstack(forest.stack))
+    restacked = stack_trees(unstack(forest.stack))
     assert restacked.depth == 6
     assert restacked.predict(X).tobytes() == forest.predict_proba(X).tobytes()
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import bagged_trees, forest_predict, unstack
+from oracles import bagged_trees, forest_predict, stack_trees, unstack
 from zeroshap import pool as pl
 from zeroshap import shapley as sh
-from zeroshap.base_models import ForestModel, MlpConfig, MlpModel, stack_trees
+from zeroshap.base_models import ForestModel, MlpConfig, MlpModel
 from zeroshap.scm import TaskGenConfig, TaskRejected, sample_task
 from zeroshap.shapley import ShapConfig
 

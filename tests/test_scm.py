@@ -7,7 +7,7 @@ from zeroshap import scm
 
 def test_two_node_dag_single_edge():
     rng = np.random.default_rng(0)
-    dag = scm.sample_dag(rng, node_range=(2, 2))
+    dag = scm.sample_dag(rng, scm.TaskGenConfig(node_range=(2, 2), max_subgraphs=1))
     assert dag.node_count == 2
     assert dag.edges == [(1, 0)]
 
@@ -16,7 +16,7 @@ def test_zero_redirection_gives_recursive_tree():
     # every non-root node has exactly one tree parent (its attachment target)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        dag = scm.sample_dag(rng, node_range=(5, 10), redirect_dist="zero")
+        dag = scm.sample_dag(rng, scm.TaskGenConfig(node_range=(5, 10), redirect_dist="zero", max_subgraphs=1))
         outdeg = np.zeros(dag.node_count, dtype=int)
         for src, _ in dag.edges:
             outdeg[src] += 1
@@ -30,7 +30,8 @@ def test_redirection_creates_heavier_in_degree_tail():
         rng = np.random.default_rng(seed)
         totals = []
         for _ in range(1000):
-            dag = scm.sample_dag(rng, node_range=(8, 10), redirect_dist=redirect_dist)
+            dag = scm.sample_dag(
+                rng, scm.TaskGenConfig(node_range=(8, 10), redirect_dist=redirect_dist, max_subgraphs=1))
             indeg = np.zeros(dag.node_count, dtype=int)
             for _, child in dag.edges:
                 indeg[child] += 1
@@ -43,7 +44,7 @@ def test_redirection_creates_heavier_in_degree_tail():
 def test_every_sampled_dag_is_acyclic():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        dag = scm.sample_dag(rng, node_range=(2, 10), max_subgraphs=3)
+        dag = scm.sample_dag(rng, scm.TaskGenConfig(node_range=(2, 10), max_subgraphs=3))
         order = dag.topological_order()
         assert len(order) == dag.node_count
 
@@ -52,16 +53,15 @@ def test_sampled_dag_node_ids_are_python_ints():
     # on the growth steps and on the connect steps alike
     rng = np.random.default_rng(4)
     for _ in range(50):
-        dag = scm.sample_dag(rng, node_range=(4, 12), max_subgraphs=3, connect_prob=1.0)
+        dag = scm.sample_dag(rng, scm.TaskGenConfig(node_range=(4, 12), max_subgraphs=3, connect_prob=1.0))
         assert all(type(node) is int for edge in dag.edges for node in edge)
 
 
 def test_bad_node_range_rejected():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        scm.sample_dag(rng, node_range=(5, 4))
+        scm.TaskGenConfig(node_range=(5, 4))
     with pytest.raises(ValueError):
-        scm.sample_dag(rng, node_range=(1, 3))
+        scm.TaskGenConfig(node_range=(1, 3))
 
 
 def test_activation_definitions():
@@ -149,7 +149,7 @@ def test_select_task_median_split_balanced():
         def uniform(self, low=0.0, high=1.0, size=None):
             return 0.5 if size is None else self.inner.uniform(low, high, size)
 
-    task = scm.select_task(dag, values, FixedQuantileRng(np.random.default_rng(7)), m_max=1)
+    task = scm.select_task(dag, values, FixedQuantileRng(np.random.default_rng(7)), m_max=1, seed=0)
     ratio = task.y.mean()
     assert 0.45 <= ratio <= 0.55
 
@@ -157,7 +157,7 @@ def test_select_task_median_split_balanced():
 def test_select_task_m_max_bound():
     dag = scm.DagSpec(4, [(0, 1), (1, 2), (2, 3)], ["identity"] * 3, ["normal"] * 4)
     values = scm.propagate(dag, 64, np.random.default_rng(8))
-    task = scm.select_task(dag, values, np.random.default_rng(9), m_max=1)
+    task = scm.select_task(dag, values, np.random.default_rng(9), m_max=1, seed=0)
     assert task.m == 1
 
 
@@ -167,7 +167,7 @@ def test_select_task_rejects_constant_target():
     values = values.copy()
     values[:, :] = 0.0  # constant columns cannot be thresholded into two classes
     with pytest.raises(scm.TaskRejected):
-        scm.select_task(dag, values, np.random.default_rng(11), m_max=1)
+        scm.select_task(dag, values, np.random.default_rng(11), m_max=1, seed=0)
 
 
 def test_sample_task_deterministic_per_seed():

@@ -4,6 +4,7 @@ import pytest
 from oracles import autodiff_fit_mlp_regressor
 from zeroshap import autodiff as ad
 from zeroshap import surrogates as sg
+from zeroshap.base_models import MlpModel
 from zeroshap.metrics import pearson
 
 
@@ -154,11 +155,13 @@ def _refs_case(case):
                          ids=lambda c: "-".join(map(str, c)))
 def test_mlp_regressor_fit_bit_identical_to_autodiff_graph(case):
     refs = _refs_case(case)
-    state = sg.fit_surrogate("mlp_regressor", refs, rng=np.random.default_rng(3)).state
+    # the surrogate's predictor is its MlpModel's readout
+    model = sg.fit_surrogate("mlp_regressor", refs, rng=np.random.default_rng(3)).predict.__self__
+    assert isinstance(model, MlpModel) and (len(model.weights), len(model.biases)) == (2, 2)
     expected = autodiff_fit_mlp_regressor(refs, np.random.default_rng(3))
-    assert state.keys() == expected.keys()
+    got = {"w1": model.weights[0], "b1": model.biases[0], "w2": model.weights[1], "b2": model.biases[1]}
     for name in expected:
-        assert np.array_equal(state[name], expected[name]), name
+        assert np.array_equal(got[name], expected[name]), name
 
 
 def test_mlp_regressor_fit_builds_no_graph(tensor_inits):
