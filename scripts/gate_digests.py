@@ -10,7 +10,11 @@ pinned to one thread (byte identity holds for a fixed thread count only):
 - ``train --set explainer.train_steps=400 --set explainer.restarts=1`` on the
   MLP pool;
 - ``explain`` of a fixed 120-row, 5-feature table with that checkpoint;
-- the default ``benchmark`` and ``dag-recover`` runs with it.
+- the default ``benchmark`` and ``dag-recover`` runs with it;
+- ``generate`` under a ``--config`` file that sets a key of every section
+  (ranges, int and str lists, floats, ``pool.workers = 2``), then ``explain``
+  under that file of a table whose prediction column, ``score``, is named by
+  ``--prediction-column`` over the file's ``explain.prediction_column``.
 
 Then it prints one ``sha256  path`` line per file written under OUTDIR, paths
 relative to it, sorted. The wall-clock ``benchmark_runtime.csv`` is left out.
@@ -34,6 +38,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # the wall-clock table of ``benchmark``: its times differ from run to run
 UNSTABLE = {"benchmark_runtime.csv"}
+# a non-default value for a key of every section; the paths are relative to the file's directory
+CONFIG_FILE = """\
+seed = 5
+output_dir = .
+pool.path = pool
+pool.n_tasks = 6
+pool.workers = 2
+gen.node_range = 3:6     # a range
+gen.n_range = 32:64
+gen.m_max = 4
+gen.max_subgraphs = 1
+gen.connect_prob = 0.3
+gen.redirect_dist = uniform
+base.kind = mlp
+base.hidden_sizes = 16,8
+base.epochs = 120
+base.lr0 = 1e-3
+shap.exact_max_features = 3
+shap.n_permutations = 40
+shap.background_size = 16
+shap.exact_prob = 0.5
+explainer.embed_dim = 16
+explainer.n_layers = 1
+explainer.n_heads = 2
+explainer.n_buckets = 8
+explainer.max_features = 6
+explainer.max_context_rows = 64
+explainer.train_steps = 20
+explainer.restarts = 1
+explainer.lr_low = 1e-4
+explainer.lr_high = 2e-4
+explain.prediction_column = prediction
+benchmark.n_tasks = 2
+benchmark.kshots = 0,2
+benchmark.methods = zero_shot,knn
+benchmark.base_kinds = mlp
+benchmark.eval_epochs = 50
+dag.n_tasks = 2
+dag.edge_budgets = 2,3
+dag.node_range = 4:6
+"""
 
 
 def run(cli, *argv: str) -> None:
@@ -72,6 +117,15 @@ def main() -> int:
         "--output", str(out / "explain" / "attributions.csv"))
     for command, where in (("benchmark", "benchmark"), ("dag-recover", "dag")):
         run(cli, command, "--checkpoint", str(checkpoint), "--set", f"output_dir={out / where}")
+
+    (out / "config").mkdir()
+    with contextlib.chdir(out / "config"):
+        Path("run.cfg").write_text(CONFIG_FILE)
+        run(cli, "generate", "--config", "run.cfg")
+        np.savetxt("scored.csv", table[:40, [5, 0, 1, 2]], delimiter=",", fmt="%.17g",
+                   header="score,x0,x1,x2", comments="")
+        run(cli, "explain", "--config", "run.cfg", "--checkpoint", str(checkpoint), "--input", "scored.csv",
+            "--output", "attributions.csv", "--prediction-column", "score")
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name not in UNSTABLE):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")

@@ -75,6 +75,11 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+# flags that stand for a config key: a flag given beats the key's --set and file values
+FLAG_KEYS = {"n_tasks": "pool.n_tasks", "workers": "pool.workers", "pool": "pool.path",
+             "prediction_column": "explain.prediction_column"}
+
+
 def _load_run_config(args) -> RunConfig:
     overrides = {}
     for item in args.set or []:
@@ -82,6 +87,9 @@ def _load_run_config(args) -> RunConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
+    for dest, key in FLAG_KEYS.items():
+        if getattr(args, dest, None) is not None:
+            overrides[key] = str(getattr(args, dest))
     return RunConfig.load(args.config, overrides)
 
 
@@ -96,7 +104,7 @@ def _load_explainer(args, cfg: RunConfig):
 def _read_table(args, cfg: RunConfig):
     """(features, predictions) of the ``--input`` CSV; InputError without its prediction column."""
     header, data = read_csv_matrix(args.input)
-    pred_col = args.prediction_column or cfg.get("explain.prediction_column")
+    pred_col = cfg.get("explain.prediction_column")
     if pred_col not in header:
         raise InputError(f"prediction column {pred_col!r} not in CSV header {header}")
     pred_idx = header.index(pred_col)
@@ -107,9 +115,9 @@ def _shap_reference(predict_fn, X, cfg: RunConfig, rng, seed: int):
     """The Shapley oracle under the ``shap.*`` keys, on a background that ``rng`` subsamples from X;
     ``_check_sweep`` has checked the sizes."""
     return hybrid_shapley(predict_fn, X, ShapConfig(
-        exact_max_features=cfg.get_int("shap.exact_max_features"),
-        n_permutations=cfg.get_int("shap.n_permutations"),
-        background=subsample_background(X, rng, cfg.get_int("shap.background_size")),
+        exact_max_features=cfg.get("shap.exact_max_features"),
+        n_permutations=cfg.get("shap.n_permutations"),
+        background=subsample_background(X, rng, cfg.get("shap.background_size")),
         seed=seed,
     ))
 
@@ -119,13 +127,13 @@ def _shap_reference(predict_fn, X, cfg: RunConfig, rng, seed: int):
 
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
-    n_tasks = args.n_tasks if args.n_tasks is not None else cfg.get_int("pool.n_tasks")
+    n_tasks = cfg.get("pool.n_tasks")
     if n_tasks < 0:
         raise ConfigError(f"the task count (--n-tasks or pool.n_tasks) must not be negative, got {n_tasks}")
-    workers = args.workers if args.workers is not None else cfg.get_int("pool.workers")
+    workers = cfg.get("pool.workers")
     if workers < 1:
         raise ConfigError(f"the worker count (--workers or pool.workers) must be at least 1, got {workers}")
-    pool_dir = Path(args.pool or cfg.pool_path)
+    pool_dir = cfg.pool_path
     generate_pool(pool_dir, n_tasks, cfg.seed, cfg.pool_build_config(), workers=workers,
                   progress=not args.quiet)
     print(f"wrote {n_tasks} tasks to {pool_dir}")
@@ -134,7 +142,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    pool_dir = Path(args.pool or cfg.pool_path)
+    pool_dir = cfg.pool_path
     if not pool_task_ids(pool_dir):
         raise PoolError(f"pool {pool_dir} is empty or missing; run 'zeroshap generate' first")
     explainer_cfg = cfg.explainer_config()
@@ -184,7 +192,7 @@ def cmd_explain(args) -> int:
 
 def _eval_base_model(kind: str, X, y, cfg: RunConfig, seed: int):
     if kind == "mlp":
-        mlp_cfg = bm.MlpConfig(hidden_sizes=(12, 12), epochs=cfg.get_int("benchmark.eval_epochs"),
+        mlp_cfg = bm.MlpConfig(hidden_sizes=(12, 12), epochs=cfg.get("benchmark.eval_epochs"),
                                lr0=1e-3, seed=seed)
         return bm.train_mlp(X, y, mlp_cfg).predict
     return bm.train_forest(X, y, bm.ForestConfig(seed=seed)).predict_proba  # kinds are checked on entry
@@ -231,14 +239,14 @@ def _score_row(head: list, scores: list) -> list:
 
 def cmd_benchmark(args) -> int:
     cfg = _load_run_config(args)
-    n_tasks = cfg.get_int("benchmark.n_tasks")
-    kshots = cfg.get_int_list("benchmark.kshots")
-    methods = cfg.get_str_list("benchmark.methods")
-    base_kinds = cfg.get_str_list("benchmark.base_kinds")
+    n_tasks = cfg.get("benchmark.n_tasks")
+    kshots = cfg.get("benchmark.kshots")
+    methods = cfg.get("benchmark.methods")
+    base_kinds = cfg.get("benchmark.base_kinds")
     gen_cfg = cfg.task_gen_config()
     weights = _load_explainer(args, cfg)
-    _check_sweep(n_tasks, methods, base_kinds, kshots, cfg.get_int("benchmark.eval_epochs"),
-                 (cfg.get_int("shap.n_permutations"), cfg.get_int("shap.background_size")), gen_cfg,
+    _check_sweep(n_tasks, methods, base_kinds, kshots, cfg.get("benchmark.eval_epochs"),
+                 (cfg.get("shap.n_permutations"), cfg.get("shap.background_size")), gen_cfg,
                  weights.config.max_features)
     # zero-shot takes no references, a surrogate at least two
     runs = [(method, k) for method in methods for k in kshots
@@ -290,8 +298,8 @@ def cmd_benchmark(args) -> int:
         zs_time = measure_runtime(lambda: explain_zero_shot(weights, X, y_hat),
                                   repetitions=3, contributions=X.size)
         shap_cfg = ShapConfig(
-            exact_max_features=cfg.get_int("shap.exact_max_features"),
-            n_permutations=min(cfg.get_int("shap.n_permutations"), 50),
+            exact_max_features=cfg.get("shap.exact_max_features"),
+            n_permutations=min(cfg.get("shap.n_permutations"), 50),
             background=subsample_background(X, np.random.default_rng(0), 32),
             seed=0,
         )
@@ -317,16 +325,14 @@ def cmd_benchmark(args) -> int:
 
 def cmd_dag_recover(args) -> int:
     cfg = _load_run_config(args)
-    n_tasks = cfg.get_int("dag.n_tasks")
+    n_tasks = cfg.get("dag.n_tasks")
     if n_tasks < 1:
         raise ConfigError(f"dag.n_tasks must be at least 1, got {n_tasks}")
-    budgets = cfg.get_int_list("dag.edge_budgets")
+    budgets = cfg.get("dag.edge_budgets")
     if not budgets or min(budgets) < 1:
         raise ConfigError(f"dag.edge_budgets = {','.join(map(str, budgets))!r}: give one or more edge "
                           f"counts, each at least 1")
     weights = _load_explainer(args, cfg)
-    out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     # each pass explains the m - 1 features left once one column stands in for the prediction
     gen_cfg = replace(cfg.task_gen_config(node_range_key="dag.node_range"),
                       m_max=weights.config.max_features + 1)
@@ -359,9 +365,10 @@ def cmd_dag_recover(args) -> int:
         })
         collected += 1
     if collected < n_tasks:
-        print(f"error: only {collected}/{n_tasks} usable tasks", file=sys.stderr)
-        return 1
+        raise TaskRejected(f"only {collected}/{n_tasks} usable tasks")
 
+    out_dir = cfg.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv_matrix(out_dir / "dag_ged_vs_budget.csv", ["budget", "mean_ged", "mean_random_ged"], [
         [b, float(np.mean([t["ged"][str(b)] for t in per_task])),
          float(np.mean([t["random_ged"][str(b)] for t in per_task]))]
@@ -486,7 +493,7 @@ def main(argv=None) -> int:
         return 2
     except (InputError, CheckpointError, PoolError, TaskRejected, OSError) as exc:
         # an OSError that no reader turned into its own type: an output that cannot be written;
-        # TaskRejected: a generator config whose every draw of a task is rejected
+        # TaskRejected: a generator config that yields too few usable tasks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,17 @@ Config files hold ``section.key = value`` lines ('#' starts a comment).
 CLI ``--set key=value`` overrides file values; the ``ZEROSHAP_OUTPUT_DIR``
 environment variable overrides the output directory. The master seed
 (default 42) fans out deterministically to every stage.
+
+Each key's default is typed, and a section key takes its default from the
+field of its section's dataclass. A given value parses into its default's
+type when the config loads: a tuple default is a ``lo:hi`` range, a list
+default a comma list. Loading also builds the gen, dag, base and explainer
+sections, so a malformed or out-of-range value there fails every subcommand.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,45 +26,45 @@ from .scm import TaskGenConfig
 
 OUTPUT_DIR_ENV = "ZEROSHAP_OUTPUT_DIR"
 
-DEFAULTS: dict[str, str] = {
-    "seed": "42",
+
+def _keys(section: str, *names: str) -> dict[str, str]:
+    return {name: f"{section}.{name}" for name in names}
+
+
+# per section dataclass: field name -> config key
+GEN_KEYS = _keys("gen", "node_range", "n_range", "m_max", "max_subgraphs", "connect_prob", "redirect_dist")
+MLP_KEYS = _keys("base", "hidden_sizes", "epochs", "lr0")
+POOL_KEYS = {"base_kind": "base.kind",
+             **_keys("shap", "exact_max_features", "n_permutations", "background_size", "exact_prob")}
+EXPLAINER_KEYS = _keys("explainer", "embed_dim", "n_layers", "n_heads", "n_buckets", "max_features",
+                       "max_context_rows", "train_steps", "restarts", "lr_low", "lr_high")
+
+
+def _field_defaults(make, keys: dict[str, str]) -> dict:
+    defaults = {f.name: f.default for f in dataclasses.fields(make)}
+    return {key: defaults[name] for name, key in keys.items()}
+
+
+DEFAULTS: dict[str, object] = {
+    "seed": 42,
     "output_dir": ".",
     "pool.path": "pool",
-    "pool.n_tasks": "200",
-    "pool.workers": "1",
-    "gen.node_range": "2:8",
-    "gen.n_range": "48:128",
-    "gen.m_max": "5",
-    "gen.max_subgraphs": "2",
-    "gen.connect_prob": "0.5",
-    "gen.redirect_dist": "gamma",
-    "base.kind": "mlp",
-    "base.hidden_sizes": "100",
-    "base.epochs": "800",
-    "base.lr0": "0.0001",
-    "shap.exact_max_features": "10",
-    "shap.n_permutations": "200",
-    "shap.background_size": "64",
-    "shap.exact_prob": "0.7",
-    "explainer.embed_dim": "64",
-    "explainer.n_layers": "3",
-    "explainer.n_heads": "4",
-    "explainer.n_buckets": "32",
-    "explainer.max_features": "10",
-    "explainer.max_context_rows": "512",
-    "explainer.train_steps": "3000",
-    "explainer.restarts": "3",
-    "explainer.lr_low": "1e-7",
-    "explainer.lr_high": "1e-4",
+    "pool.n_tasks": 200,
+    "pool.workers": 1,
+    **_field_defaults(TaskGenConfig, GEN_KEYS),
+    **_field_defaults(MlpConfig, MLP_KEYS),
+    "base.hidden_sizes": list(MlpConfig.hidden_sizes),  # a comma list here, a tuple on MlpConfig
+    **_field_defaults(PoolBuildConfig, POOL_KEYS),
+    **_field_defaults(ExplainerConfig, EXPLAINER_KEYS),
     "explain.prediction_column": "prediction",
-    "benchmark.n_tasks": "6",
-    "benchmark.kshots": "0,2,4,6,8,10",
-    "benchmark.methods": "zero_shot,knn,mlp_regressor,forest_regressor",
-    "benchmark.base_kinds": "mlp,forest",
-    "benchmark.eval_epochs": "400",
-    "dag.n_tasks": "20",
-    "dag.edge_budgets": "3,5,7",
-    "dag.node_range": "4:9",
+    "benchmark.n_tasks": 6,
+    "benchmark.kshots": [0, 2, 4, 6, 8, 10],
+    "benchmark.methods": ["zero_shot", "knn", "mlp_regressor", "forest_regressor"],
+    "benchmark.base_kinds": ["mlp", "forest"],
+    "benchmark.eval_epochs": 400,
+    "dag.n_tasks": 20,
+    "dag.edge_budgets": [3, 5, 7],
+    "dag.node_range": (4, 9),
 }
 
 
@@ -78,9 +85,23 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
+def parse_value(key: str, value: str):
+    """``value`` as the type of ``key``'s default."""
+    default = DEFAULTS[key]
+    try:
+        if isinstance(default, tuple):
+            lo, _, hi = value.partition(":")
+            return int(lo), int(hi)
+        if isinstance(default, list):
+            return [type(default[0])(tok.strip()) for tok in value.split(",") if tok.strip()]
+        return type(default)(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {value!r} does not parse ({exc})") from exc
+
+
 @dataclass
 class RunConfig:
-    values: dict[str, str] = field(default_factory=dict)
+    values: dict[str, object] = field(default_factory=dict)
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict[str, str] | None = None) -> "RunConfig":
@@ -95,51 +116,25 @@ class RunConfig:
         unknown = set(given) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values = {**DEFAULTS, **given}
         if OUTPUT_DIR_ENV in os.environ:
-            values["output_dir"] = os.environ[OUTPUT_DIR_ENV]
-        cfg = cls(values)
+            given["output_dir"] = os.environ[OUTPUT_DIR_ENV]
+        cfg = cls({**DEFAULTS, **{key: parse_value(key, value) for key, value in given.items()}})
         if cfg.seed < 0:
             raise ConfigError(f"seed must not be negative, got {cfg.seed}")
+        # the sections whose checks need no other section's keys; pool_build_config
+        # checks base.kind against gen.n_range, so it is built where it is used
+        cfg.task_gen_config()
+        cfg.task_gen_config(node_range_key="dag.node_range")
+        cfg.mlp_config()
+        cfg.explainer_config()
         return cfg
 
-    # typed getters -------------------------------------------------
-
-    def get(self, key: str) -> str:
-        try:
-            return self.values[key]
-        except KeyError as exc:
-            raise ConfigError(f"missing config key {key!r}") from exc
-
-    def _parse(self, key: str, parse):
-        value = self.get(key)
-        try:
-            return parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key} = {value!r} does not parse ({exc})") from exc
-
-    def get_int(self, key: str) -> int:
-        return self._parse(key, int)
-
-    def get_float(self, key: str) -> float:
-        return self._parse(key, float)
-
-    def get_range(self, key: str) -> tuple[int, int]:
-        def parse(value):
-            lo, _, hi = value.partition(":")
-            return int(lo), int(hi)
-
-        return self._parse(key, parse)
-
-    def get_int_list(self, key: str) -> list[int]:
-        return self._parse(key, lambda value: [int(tok) for tok in value.split(",") if tok.strip()])
-
-    def get_str_list(self, key: str) -> list[str]:
-        return [tok.strip() for tok in self.get(key).split(",") if tok.strip()]
+    def get(self, key: str):
+        return self.values[key]
 
     @property
     def seed(self) -> int:
-        return self.get_int("seed")
+        return self.get("seed")
 
     @property
     def output_dir(self) -> Path:
@@ -154,52 +149,24 @@ class RunConfig:
     # of range, into a ConfigError naming the section. PoolBuildConfig, which
     # checks keys of two sections, names the section in its own messages.
 
+    def _fields(self, keys: dict[str, str]) -> dict:
+        return {name: self.values[key] for name, key in keys.items()}
+
     def task_gen_config(self, node_range_key: str = "gen.node_range") -> TaskGenConfig:
         section = "gen" if node_range_key == "gen.node_range" else f"gen and {node_range_key}"
-        return _section(
-            section, TaskGenConfig,
-            node_range=self.get_range(node_range_key),
-            n_range=self.get_range("gen.n_range"),
-            m_max=self.get_int("gen.m_max"),
-            redirect_dist=self.get("gen.redirect_dist"),
-            max_subgraphs=self.get_int("gen.max_subgraphs"),
-            connect_prob=self.get_float("gen.connect_prob"),
-        )
+        return _section(section, TaskGenConfig,
+                        **{**self._fields(GEN_KEYS), "node_range": self.get(node_range_key)})
 
     def mlp_config(self) -> MlpConfig:
-        return _section(
-            "base", MlpConfig,
-            hidden_sizes=tuple(self.get_int_list("base.hidden_sizes")),
-            epochs=self.get_int("base.epochs"),
-            lr0=self.get_float("base.lr0"),
-        )
+        return _section("base", MlpConfig,
+                        **{**self._fields(MLP_KEYS), "hidden_sizes": tuple(self.get("base.hidden_sizes"))})
 
     def explainer_config(self) -> ExplainerConfig:
-        return _section(
-            "explainer", ExplainerConfig,
-            embed_dim=self.get_int("explainer.embed_dim"),
-            n_layers=self.get_int("explainer.n_layers"),
-            n_heads=self.get_int("explainer.n_heads"),
-            n_buckets=self.get_int("explainer.n_buckets"),
-            max_features=self.get_int("explainer.max_features"),
-            max_context_rows=self.get_int("explainer.max_context_rows"),
-            train_steps=self.get_int("explainer.train_steps"),
-            restarts=self.get_int("explainer.restarts"),
-            lr_low=self.get_float("explainer.lr_low"),
-            lr_high=self.get_float("explainer.lr_high"),
-        )
+        return _section("explainer", ExplainerConfig, **self._fields(EXPLAINER_KEYS))
 
     def pool_build_config(self) -> PoolBuildConfig:
-        return _section(
-            None, PoolBuildConfig,
-            gen=self.task_gen_config(),
-            base=self.mlp_config(),
-            base_kind=self.get("base.kind"),
-            exact_max_features=self.get_int("shap.exact_max_features"),
-            exact_prob=self.get_float("shap.exact_prob"),
-            n_permutations=self.get_int("shap.n_permutations"),
-            background_size=self.get_int("shap.background_size"),
-        )
+        return _section(None, PoolBuildConfig, gen=self.task_gen_config(), base=self.mlp_config(),
+                        **self._fields(POOL_KEYS))
 
 
 def _section(name: str | None, make, **values):

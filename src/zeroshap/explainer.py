@@ -437,7 +437,6 @@ def train(pool_sampler, config: ExplainerConfig | None = None,
             })
     if best is None:
         raise RuntimeError("every training restart diverged")
-    best.metadata["restarts"] = history
     return best
 
 

@@ -8,10 +8,11 @@ import pytest
 
 from zeroshap import cli
 from zeroshap import pool as pl
+from zeroshap.base_models import MlpConfig
 from zeroshap.config import DEFAULTS, ConfigError, RunConfig
 from zeroshap.explainer import ExplainerConfig
 from zeroshap.pool import PoolBuildConfig
-from zeroshap.scm import TaskRejected
+from zeroshap.scm import TaskGenConfig, TaskRejected
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +63,17 @@ def test_config_parsing_and_overrides(tmp_path):
     cfg_file.write_text("seed = 7\npool.n_tasks = 5  # comment\n")
     cfg = RunConfig.load(cfg_file, {"gen.m_max": "2"})
     assert cfg.seed == 7
-    assert cfg.get_int("pool.n_tasks") == 5
-    assert cfg.get_int("gen.m_max") == 2
-    assert cfg.get_range("gen.node_range") == (2, 8)
+    assert cfg.get("pool.n_tasks") == 5
+    assert cfg.get("gen.m_max") == 2
+    assert cfg.get("gen.node_range") == (2, 8)
 
 
 def test_python_defaults_are_the_cli_defaults():
     cfg = RunConfig.load(None)
     assert cfg.pool_build_config() == PoolBuildConfig()
     assert cfg.explainer_config() == ExplainerConfig()
+    assert cfg.task_gen_config() == TaskGenConfig()
+    assert cfg.mlp_config() == MlpConfig()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -385,6 +388,32 @@ def test_missing_config_file_fails_cleanly(tmp_path, capsys, command):
 def test_unparsable_config_value_names_its_key(tmp_path, capsys, override, key):
     code = cli.main(["generate", "--pool", str(tmp_path / "pool"), "--set", override, "--quiet"])
     _fails_cleanly(code, capsys, key)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("explainer.embed_dim=abc", "explainer.embed_dim = 'abc' does not parse"),
+    ("dag.node_range=oops", "dag.node_range = 'oops' does not parse"),
+    ("benchmark.kshots=x", "benchmark.kshots = 'x' does not parse"),
+    ("explainer.n_heads=3", "explainer: embed_dim must be divisible by n_heads"),
+])
+def test_every_subcommand_refuses_a_bad_value_of_a_key_it_does_not_read(tmp_path, capsys, override, message):
+    code = cli.main(["generate", "--n-tasks", "0", "--pool", str(tmp_path / "pool"), "--set", override,
+                     "--quiet"])
+    _fails_cleanly(code, capsys, "config error: ", message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dag_recover_short_of_usable_tasks_ends_in_one_error_line(workspace, tmp_path, capsys, monkeypatch):
+    def rejected(seed, gen_cfg):
+        raise TaskRejected("no valid task")
+
+    root, config = workspace
+    monkeypatch.setattr(cli, "sample_task", rejected)
+    code = cli.main(["dag-recover", "--config", str(config), "--checkpoint", str(root / "out" / "explainer.ckpt"),
+                     "--set", f"output_dir={tmp_path / 'out'}", "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: only 0/2 usable tasks\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_explain_missing_input_fails_cleanly(workspace, tmp_path, capsys):
