@@ -9,7 +9,9 @@ pinned to one thread (byte identity holds for a fixed thread count only):
 - ``generate --n-tasks 10 --set seed=11`` for ``base.kind=mlp`` and ``forest``;
 - ``train --set explainer.train_steps=400 --set explainer.restarts=1`` on the
   MLP pool;
-- ``explain`` of a fixed 120-row, 5-feature table with that checkpoint;
+- ``explain`` of a fixed 120-row, 5-feature table with that checkpoint, and
+  of a fixed 1100-row, 4-feature table, which its 512-row context cuts into
+  five chunks, the last one short;
 - the default ``benchmark`` and ``dag-recover`` runs with it;
 - ``generate`` under a ``--config`` file that sets a key of every section
   (ranges, int and str lists, floats, ``pool.workers = 2``), then ``explain``
@@ -115,6 +117,13 @@ def main() -> int:
                header="x0,x1,x2,x3,x4,prediction", comments="")
     run(cli, "explain", "--checkpoint", str(checkpoint), "--input", str(explain_in),
         "--output", str(out / "explain" / "attributions.csv"))
+    long_rng = np.random.default_rng(1)
+    long_table = np.column_stack([long_rng.normal(size=(1100, 4)), long_rng.uniform(size=1100)])
+    long_in = out / "explain" / "long_input.csv"
+    np.savetxt(long_in, long_table, delimiter=",", fmt="%.17g", header="x0,x1,x2,x3,prediction",
+               comments="")
+    run(cli, "explain", "--checkpoint", str(checkpoint), "--input", str(long_in),
+        "--output", str(out / "explain" / "long_attributions.csv"))
     for command, where in (("benchmark", "benchmark"), ("dag-recover", "dag")):
         run(cli, command, "--checkpoint", str(checkpoint), "--set", f"output_dir={out / where}")
 

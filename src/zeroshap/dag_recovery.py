@@ -10,7 +10,7 @@ the edit distance reduces exactly to the edge-set symmetric difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,8 @@ class DagRecoveryResult:
     budgets: list[int]
     kept_edges: dict[int, list[tuple[int, int]]]
     ged_per_budget: dict[int, int]
-    random_ged_per_budget: dict[int, int] = field(default_factory=dict)
-    true_edges: list[tuple[int, int]] = field(default_factory=list)
+    random_ged_per_budget: dict[int, int]
+    true_edges: list[tuple[int, int]]
 
 
 def graph_edit_distance(edges_a, edges_b) -> int:
@@ -69,34 +69,25 @@ def attribution_edge_weights(weights: ExplainerWeights, X: np.ndarray) -> np.nda
     return W
 
 
-def dag_recovery(weights: ExplainerWeights, task: ScmTask,
-                 edge_budgets=(3, 5, 7), rng: np.random.Generator | None = None) -> DagRecoveryResult:
-    """Reconstruct the feature subgraph at each edge budget, with a random baseline.
+def dag_recovery(weights: ExplainerWeights, task: ScmTask, edge_budgets=(3, 5, 7), *,
+                 rng: np.random.Generator) -> DagRecoveryResult:
+    """Reconstruct the feature subgraph at each edge budget, with a random baseline drawn from ``rng``.
 
     The task's designated target column is excluded before any attribution
     pass (only feature columns participate).
     """
-    X = task.X
-    W = attribution_edge_weights(weights, X)
+    W = attribution_edge_weights(weights, task.X)
     true_edges = induced_feature_edges(task)
     budgets = sorted(int(b) for b in edge_budgets)
-    kept = {}
-    ged = {}
-    for budget in budgets:
-        kept[budget] = top_edges(W, budget)
-        ged[budget] = graph_edit_distance(true_edges, kept[budget])
-    result = DagRecoveryResult(
+    random_w = rng.uniform(size=W.shape)
+    np.fill_diagonal(random_w, 0.0)
+    kept = {budget: top_edges(W, budget) for budget in budgets}
+    return DagRecoveryResult(
         edge_weights=W,
         budgets=budgets,
         kept_edges=kept,
-        ged_per_budget=ged,
+        ged_per_budget={b: graph_edit_distance(true_edges, kept[b]) for b in budgets},
+        random_ged_per_budget={b: graph_edit_distance(true_edges, top_edges(random_w, b))
+                               for b in budgets},
         true_edges=true_edges,
     )
-    if rng is not None:
-        random_w = rng.uniform(size=W.shape)
-        np.fill_diagonal(random_w, 0.0)
-        for budget in budgets:
-            result.random_ged_per_budget[budget] = graph_edit_distance(
-                true_edges, top_edges(random_w, budget)
-            )
-    return result

@@ -10,9 +10,11 @@ expectation of a softmax distribution over standardized-value buckets.
 Ground-truth attributions are never part of the input.
 
 Training runs on the autodiff graph, over views of one flat weight buffer.
-Serving builds no graph: ``forward`` replays the graph's arithmetic in plain
-numpy over the weight arrays, op by op, so its output is bit-equal to the
-graph's.
+Serving builds no graph. ``explain_zero_shot`` encodes each feature's slots
+once over the whole table and cuts a long table into contexts of at most
+``max_context_rows`` rows; ``forward`` runs one encoded context, replaying the
+graph's arithmetic in plain numpy over the weight arrays, op by op, so its
+output is bit-equal to the graph's.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ class ExplainerConfig:
             raise ValueError(f"n_layers must not be negative, got {self.n_layers}")
         if self.n_heads < 1 or self.embed_dim % self.n_heads != 0:
             raise ValueError("embed_dim must be divisible by n_heads")
-        if self.bucket_high <= self.bucket_low:
-            raise ValueError("bucket range must be increasing")
+        if not -math.inf < self.bucket_low < self.bucket_high < math.inf:
+            raise ValueError(f"bucket_low and bucket_high must be finite with bucket_low < "
+                             f"bucket_high, got {self.bucket_low} and {self.bucket_high}")
         if self.max_context_rows < 2:
             # a chunked table's fixed reference is max_context_rows // 2 rows
             raise ValueError(f"max_context_rows must be at least 2, got {self.max_context_rows}")
@@ -194,7 +197,7 @@ def _forward_graph(params: dict[str, ad.Tensor], slots: np.ndarray, n_active_slo
                    config: ExplainerConfig) -> ad.Tensor:
     """Bucket probabilities for every row on the autodiff graph; pre-LN transformer encoder.
 
-    Training only; ``_forward_numpy`` is the inference pass.
+    Training only; ``forward`` is the inference pass.
     """
     n = slots.shape[0]
     d = config.embed_dim
@@ -233,9 +236,9 @@ def _ln_affine_numpy(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.nd
     return centered * inv * gain + bias
 
 
-def _forward_numpy(params: dict[str, ad.Tensor], slots: np.ndarray, n_active_slots: int,
-                   config: ExplainerConfig, query_rows: np.ndarray | None = None) -> np.ndarray:
-    """Bucket probabilities for each (query) row, with no graph.
+def forward(weights: ExplainerWeights, slots: np.ndarray, n_active_slots: int,
+            query_rows: np.ndarray | None = None) -> np.ndarray:
+    """Bucket probabilities for each (query) row of one encoded context, with no graph.
 
     Replays ``_forward_graph`` op by op on the weight arrays, so the result
     is bit-equal to ``_forward_graph(...).data[query_rows]``. The head split
@@ -247,7 +250,8 @@ def _forward_numpy(params: dict[str, ad.Tensor], slots: np.ndarray, n_active_slo
     Query rows are gathered after the final layer norm; every later op works
     row by row.
     """
-    w = {name: p.data for name, p in params.items()}
+    config = weights.config
+    w = {name: p.data for name, p in weights.params.items()}
     n = slots.shape[0]
     d = config.embed_dim
     H = config.n_heads
@@ -285,63 +289,30 @@ def _forward_numpy(params: dict[str, ad.Tensor], slots: np.ndarray, n_active_slo
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(weights: ExplainerWeights, X: np.ndarray, y_hat: np.ndarray, target_feature: int,
-            X_ref: np.ndarray | None = None, y_ref: np.ndarray | None = None) -> np.ndarray:
-    """Bucket distribution per query row, conditioned on the reference set.
+def explain_zero_shot(weights: ExplainerWeights, X: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Raw attribution matrix in standardized units: one forward pass per feature and context.
 
-    With no explicit reference set the query rows serve as their own context.
-    Reference and query tokens form one sequence under full bidirectional
-    attention; only query rows are read out.
-    """
-    config = weights.config
-    X = np.asarray(X, dtype=np.float64)
-    n_query = X.shape[0]
-    if X_ref is not None:
-        X_ref = np.asarray(X_ref, dtype=np.float64)
-        if X_ref.shape[1] != X.shape[1]:
-            raise ValueError("reference and query sets must share the feature count")
-        slots_ref = encode_rows(X_ref, y_ref, target_feature, config)
-        slots_query = encode_rows(X, y_hat, target_feature, config)
-        slots = np.vstack([slots_ref, slots_query])
-        query_rows = np.arange(X_ref.shape[0], slots.shape[0])
-    else:
-        slots = encode_rows(X, y_hat, target_feature, config)
-        query_rows = None
-    if slots.shape[0] > config.max_context_rows:
-        raise ValueError(
-            f"{slots.shape[0]} rows exceed max_context_rows={config.max_context_rows}; "
-            "split the queries into chunks against a fixed reference set"
-        )
-    out = _forward_numpy(weights.params, slots, X.shape[1] + 1, config, query_rows)
-    assert out.shape == (n_query, config.n_buckets)
-    return out
-
-
-def explain_zero_shot(weights: ExplainerWeights, X: np.ndarray, y_hat: np.ndarray,
-                      X_ref: np.ndarray | None = None, y_ref: np.ndarray | None = None) -> np.ndarray:
-    """Raw attribution matrix in standardized units: one forward pass per feature.
-
-    A table longer than ``max_context_rows`` with no explicit reference set
-    is explained in chunks against a fixed reference set: its first
-    ``max_context_rows // 2`` rows. Downstream consumers are expected to run
-    the axiom-based corrections before reporting; no rescaling happens here.
+    A table of at most ``max_context_rows`` rows is its own context. A longer
+    table is cut into chunks of ``max_context_rows - max_context_rows // 2``
+    rows from row 0; each chunk runs in one context after the table's first
+    ``max_context_rows // 2`` rows, a fixed reference, and only the chunk's
+    rows are read out. Downstream consumers are expected to run the
+    axiom-based corrections before reporting; no rescaling happens here.
     """
     X = np.asarray(X, dtype=np.float64)
+    n, m = X.shape
     limit = weights.config.max_context_rows
-    if X_ref is None and X.shape[0] > limit:
-        y_hat = np.asarray(y_hat, dtype=np.float64).ravel()
-        n_ref = limit // 2
-        chunk = limit - n_ref
-        return np.vstack([
-            explain_zero_shot(weights, X[start : start + chunk], y_hat[start : start + chunk],
-                              X[:n_ref], y_hat[:n_ref])
-            for start in range(0, X.shape[0], chunk)
-        ])
+    n_ref = limit // 2 if n > limit else 0
+    chunk = limit - n_ref
     centers = weights.config.bucket_centers()
     out = np.empty_like(X)
-    for j in range(X.shape[1]):
-        probs = forward(weights, X, y_hat, j, X_ref, y_ref)
-        out[:, j] = point_estimate(probs, centers)
+    for j in range(m):
+        slots = encode_rows(X, y_hat, j, weights.config)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            context = np.vstack([slots[:n_ref], slots[start:stop]])
+            probs = forward(weights, context, m + 1, np.arange(n_ref, n_ref + stop - start))
+            out[start:stop, j] = point_estimate(probs, centers)
     return out
 
 
@@ -442,8 +413,7 @@ def train(pool_sampler, config: ExplainerConfig | None = None,
 
 def save_weights(path, weights: ExplainerWeights) -> None:
     arrays = {name: p.data for name, p in weights.params.items()}
-    config = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(weights.config).items()}
-    save_checkpoint(path, "explainer", arrays, config=config, metadata=weights.metadata)
+    save_checkpoint(path, "explainer", arrays, config=vars(weights.config), metadata=weights.metadata)
 
 
 def load_weights(path) -> ExplainerWeights:

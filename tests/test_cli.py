@@ -311,7 +311,10 @@ def test_explain_corrupt_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
     (lambda arrays, config: config.update(n_head=config.pop("n_heads")), "config keys missing"),
     (lambda arrays, config: arrays.update(slot_pox=arrays.pop("slot_pos")), "slot_pos"),
     (lambda arrays, config: config.update(n_heads=3), "divisible"),
-], ids=["renamed-key", "renamed-array", "heads-do-not-divide"])
+    # json reads NaN and Infinity; either bound would turn every attribution into nan
+    (lambda arrays, config: config.update(bucket_high=float("nan")), "must be finite"),
+    (lambda arrays, config: config.update(bucket_high=float("inf")), "must be finite"),
+], ids=["renamed-key", "renamed-array", "heads-do-not-divide", "nan-bucket-bound", "inf-bucket-bound"])
 def test_explain_checkpoint_that_does_not_fit_fails_cleanly(workspace, tmp_path, capsys, edit, message):
     from zeroshap.checkpoint import load_checkpoint, save_checkpoint
 

@@ -30,6 +30,11 @@ def toy_task(seed, n=12, m=2):
     return X, 1.0 / (1.0 + np.exp(-X.sum(axis=1)))
 
 
+def forward_rows(w, X, y, j, query_rows=None):
+    """``forward`` over the rows of (X, y) as one context, explaining feature j."""
+    return ex.forward(w, ex.encode_rows(X, y, j, w.config), X.shape[1] + 1, query_rows)
+
+
 def default_weights(seed):
     """Default-size weights with every parameter moved off its initial value."""
     config = ex.ExplainerConfig()
@@ -97,7 +102,7 @@ def test_encode_rows_feature_cap():
 def test_forward_distributions_sum_to_one():
     w = small_weights(random_head=True)
     X, y = toy_task(0)
-    probs = ex.forward(w, X, y, 0)
+    probs = forward_rows(w, X, y, 0)
     assert probs.shape == (12, MICRO.n_buckets)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -106,8 +111,8 @@ def test_forward_query_permutation_equivariance():
     w = small_weights(random_head=True, seed=3)
     X, y = toy_task(1)
     perm = np.random.default_rng(2).permutation(len(X))
-    base = ex.forward(w, X, y, 1)
-    permuted = ex.forward(w, X[perm], y[perm], 1)
+    base = forward_rows(w, X, y, 1)
+    permuted = forward_rows(w, X[perm], y[perm], 1)
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -116,7 +121,7 @@ def test_forward_duplicate_rows_duplicate_outputs():
     X, y = toy_task(2, n=6)
     X2 = np.vstack([X, X[:1]])
     y2 = np.concatenate([y, y[:1]])
-    probs = ex.forward(w, X2, y2, 0)
+    probs = forward_rows(w, X2, y2, 0)
     np.testing.assert_allclose(probs[-1], probs[0], atol=1e-13)
 
 
@@ -124,16 +129,10 @@ def test_forward_with_reference_set():
     w = small_weights(random_head=True, seed=5)
     X, y = toy_task(3, n=8)
     Xr, yr = toy_task(4, n=16)
-    probs = ex.forward(w, X, y, 0, X_ref=Xr, y_ref=yr)
+    # 16 reference rows, then the 8 query rows, in one context; only the queries are read out
+    probs = forward_rows(w, np.vstack([Xr, X]), np.concatenate([yr, y]), 0, np.arange(16, 24))
     assert probs.shape == (8, MICRO.n_buckets)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_forward_row_budget():
-    w = small_weights()
-    X, y = toy_task(5, n=65)
-    with pytest.raises(ValueError, match="chunk"):
-        ex.forward(w, X, y, 0)
 
 
 @pytest.mark.parametrize("with_ref", [False, True], ids=["self-context", "reference-set"])
@@ -143,11 +142,9 @@ def test_forward_bit_equal_to_graph(n, m, with_ref):
     w = default_weights(seed=n + m)
     X, y = toy_task(n + m, n=n, m=m)
     n_ref = n // 3 if with_ref else 0
+    query_rows = np.arange(n_ref, n) if with_ref else None
     for j in range(m):
-        if with_ref:
-            probs = ex.forward(w, X[n_ref:], y[n_ref:], j, X_ref=X[:n_ref], y_ref=y[:n_ref])
-        else:
-            probs = ex.forward(w, X, y, j)
+        probs = forward_rows(w, X, y, j, query_rows)
         graph = ex._forward_graph(w.params, ex.encode_rows(X, y, j, w.config), m + 1, w.config)
         assert np.array_equal(probs, graph.data[n_ref:])
 
@@ -282,13 +279,34 @@ def test_explain_zero_shot_contract():
     np.testing.assert_array_equal(out, ex.explain_zero_shot(w, X, y))
 
 
-def test_explain_zero_shot_chunks_long_tables():
-    # 70 rows exceed MICRO's 64-row context: chunks of 32 against the first 32 rows
+def test_explain_zero_shot_chunks_long_tables(monkeypatch):
+    # 70 rows exceed MICRO's 64-row context: chunks of 32 rows, each after the first 32 rows
     w = small_weights(random_head=True, seed=12)
     X, y = toy_task(14, n=70, m=3)
-    chunks = [ex.explain_zero_shot(w, X[s : s + 32], y[s : s + 32], X[:32], y[:32])
-              for s in (0, 32, 64)]
-    np.testing.assert_array_equal(ex.explain_zero_shot(w, X, y), np.vstack(chunks))
+    calls = []
+    forward = ex.forward
+
+    def recorded(weights, slots, n_active_slots, query_rows=None):
+        calls.append((slots, n_active_slots, query_rows))
+        return forward(weights, slots, n_active_slots, query_rows)
+
+    monkeypatch.setattr(ex, "forward", recorded)
+    out = ex.explain_zero_shot(w, X, y)
+    assert [len(slots) for slots, _, _ in calls] == [64, 64, 38] * 3
+    assert max(len(slots) for slots, _, _ in calls) <= MICRO.max_context_rows
+
+    expected = np.empty_like(X)
+    chunks = iter(calls)
+    for j in range(3):
+        slots = ex.encode_rows(X, y, j, MICRO)
+        for start, stop in ((0, 32), (32, 64), (64, 70)):
+            context = np.vstack([slots[:32], slots[start:stop]])
+            seen, n_active, query_rows = next(chunks)
+            assert np.array_equal(seen, context) and n_active == 4
+            np.testing.assert_array_equal(query_rows, np.arange(32, 32 + stop - start))
+            graph = ex._forward_graph(w.params, context, 4, MICRO).data[query_rows]
+            expected[start:stop, j] = ex.point_estimate(graph, MICRO.bucket_centers())
+    assert np.array_equal(out, expected)
 
 
 def test_explain_zero_shot_builds_no_graph(tensor_inits):
@@ -297,7 +315,7 @@ def test_explain_zero_shot_builds_no_graph(tensor_inits):
     created = tensor_inits
     created.clear()  # the weights' own parameter Tensors
     ex.explain_zero_shot(w, X, y)  # chunked: 70 rows exceed the 64-row context
-    ex.explain_zero_shot(w, X[:10], y[:10], X[10:30], y[10:30])
+    ex.explain_zero_shot(w, X[:10], y[:10])  # one context
     assert created == []
     ad.Tensor(np.zeros(1))
     assert len(created) == 1
@@ -319,7 +337,7 @@ def test_weights_roundtrip(tmp_path):
     ex.save_weights(path, w)
     loaded = ex.load_weights(path)
     X, y = toy_task(14, n=5)
-    np.testing.assert_array_equal(ex.forward(loaded, X, y, 0), ex.forward(w, X, y, 0))
+    np.testing.assert_array_equal(forward_rows(loaded, X, y, 0), forward_rows(w, X, y, 0))
     path2 = tmp_path / "explainer2.ckpt"
     ex.save_weights(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
