@@ -16,7 +16,10 @@ pinned to one thread (byte identity holds for a fixed thread count only):
 - ``generate`` under a ``--config`` file that sets a key of every section
   (ranges, int and str lists, floats, ``pool.workers = 2``), then ``explain``
   under that file of a table whose prediction column, ``score``, is named by
-  ``--prediction-column`` over the file's ``explain.prediction_column``.
+  ``--prediction-column`` over the file's ``explain.prediction_column``;
+- two base-MLP fits whose outputs no artifact holds: the ``train_losses`` of
+  a default fit, written as ``<f8`` bytes, and the message of a fit that
+  diverges mid-way through its epochs.
 
 Then it prints one ``sha256  path`` line per file written under OUTDIR, paths
 relative to it, sorted. The wall-clock ``benchmark_runtime.csv`` is left out.
@@ -135,6 +138,21 @@ def main() -> int:
                    header="score,x0,x1,x2", comments="")
         run(cli, "explain", "--config", "run.cfg", "--checkpoint", str(checkpoint), "--input", "scored.csv",
             "--output", "attributions.csv", "--prediction-column", "score")
+
+    from zeroshap import base_models as bm
+
+    (out / "base_mlp").mkdir()
+    fit_rng = np.random.default_rng(5)
+    X = fit_rng.normal(size=(64, 3))
+    y = (X[:, 0] + 0.5 * fit_rng.normal(size=64) > 0).astype(float)
+    (out / "base_mlp" / "train_losses.f8").write_bytes(bm.train_mlp(X, y).train_losses.astype("<f8").tobytes())
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bm.train_mlp(X, y, bm.MlpConfig(epochs=200, lr0=5.69e306))
+        message = "did not diverge"
+    except RuntimeError as exc:
+        message = str(exc)
+    (out / "base_mlp" / "divergence.txt").write_text(message + "\n")
 
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name not in UNSTABLE):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")

@@ -4,7 +4,11 @@ The MLP classifier is fitted by this module's one numpy MLP fit and read
 out by its one ReLU-MLP forward, ``MlpModel.readout``; the few-shot
 MLP-regressor surrogate is an ``MlpModel`` fitted the same way. The fit is a
 hand-written forward/backward pass and the flat-buffer Adam step of
-``autodiff``. The random forest is a bagged ensemble of Gini CART trees.
+``autodiff``; its epochs write into arrays allocated once per fit. The
+classifier's losses are taken ``LOSS_BLOCK`` epochs at a time, and a
+divergence is raised, naming the first non-finite epoch, at the end of its
+block: at most one block late. The random forest is a bagged ensemble of Gini
+CART trees.
 Both classifiers predict class-1 probabilities; attribution ground truth is
 computed on the probability output.
 
@@ -46,6 +50,10 @@ from . import autodiff as ad
 BASE_KINDS = ("mlp", "forest")
 # fewest rows ``train_mlp`` fits on
 MLP_MIN_ROWS = 16
+# epochs whose BCE losses ``train_mlp`` takes in one pass. Its two (LOSS_BLOCK, n)
+# buffers stay smaller than one default hidden layer's three (n, 100) work arrays;
+# default fits at (128, 5) and (88, 3) took the same time with blocks of 16 to 128.
+LOSS_BLOCK = 32
 
 
 # ---- standard scaler ----
@@ -147,11 +155,15 @@ def _fit_mlp(X: np.ndarray, hidden_sizes: tuple[int, ...], n_out: int, epochs: i
 
     They are views into one flat parameter buffer. Each epoch
     ``readout_grad(out, t)`` maps the (n, n_out) readout to d loss / d out,
-    and ``lr(t)`` gives the learning rate. The backward pass replays the
-    autodiff graph's rounding, layer by layer.
+    which is only read, so it may be the same array every epoch; ``lr(t)``
+    gives the learning rate. The backward pass replays the autodiff graph's
+    rounding, layer by layer. Every epoch writes into the same arrays,
+    allocated once per fit: each hidden layer's activations, its ReLU mask
+    and the gradient reaching it, and the readout.
     """
     # C order fixes the BLAS path of X.T @ g, and with it the rounding
     X = np.ascontiguousarray(X, dtype=np.float64)
+    n = X.shape[0]
     weights, biases = _init_mlp(X.shape[1], hidden_sizes, n_out, rng)
     n_layers = len(weights)
     shapes = [a.shape for a in weights + biases]
@@ -161,17 +173,33 @@ def _fit_mlp(X: np.ndarray, hidden_sizes: tuple[int, ...], n_out: int, epochs: i
     Ws, bs = views[:n_layers], views[n_layers:]
     gWs, gbs = grad_views[:n_layers], grad_views[n_layers:]
     state = ad.AdamState(theta.size)
+    hs = [X] + [np.empty((n, width)) for width in hidden_sizes]
+    # the masks hold 0.0 and 1.0: multiplying by them keeps the bits of multiplying
+    # by the graph's bool masks, and costs less
+    masks = [np.empty((n, width)) for width in hidden_sizes]
+    gs = [np.empty((n, width)) for width in hidden_sizes]
+    out = np.empty((n, n_out))
     for t in range(epochs):
-        hs, pre = [X], []
-        for W, b in zip(Ws[:-1], bs[:-1]):
-            pre.append(hs[-1] @ W + b)
-            hs.append(np.maximum(pre[-1], 0.0))
-        g = readout_grad(hs[-1] @ Ws[-1] + bs[-1], t)
+        for h_in, h, mask, W, b in zip(hs, hs[1:], masks, Ws, bs):
+            np.matmul(h_in, W, out=h)
+            h += b
+            np.maximum(h, 0.0, out=h)
+            np.greater(h, 0.0, out=mask)  # h is positive exactly where its pre-activation is
+        np.matmul(hs[-1], Ws[-1], out=out)
+        out += bs[-1]
+        g = readout_grad(out, t)
         for i in range(n_layers - 1, -1, -1):
-            gbs[i][...] = g.sum(axis=0)
-            gWs[i][...] = hs[i].T @ g
+            np.add.reduce(g, axis=0, out=gbs[i])
+            np.matmul(hs[i].T, g, out=gWs[i])
             if i:
-                g = (g @ Ws[i].T) * (pre[i - 1] > 0.0)
+                # an inner dimension of 1 makes g @ W.T an outer product: every
+                # element is one exact product, which the broadcast multiply takes faster
+                if g.shape[1] == 1:
+                    np.multiply(g, Ws[i].T, out=gs[i - 1])
+                else:
+                    np.matmul(g, Ws[i].T, out=gs[i - 1])
+                g = gs[i - 1]
+                g *= masks[i - 1]
         ad.adam_step(theta, grad, state, lr(t))
     return Ws, bs
 
@@ -184,38 +212,75 @@ def train_mlp(X: np.ndarray, y: np.ndarray, cfg: MlpConfig | None = None) -> Mlp
     the tanh-form sigmoid and ``p``, ``q = 1 - p`` clamped to at least
     1e-12, so the fit is bit-identical to one driven through ``autodiff``
     (``tests/oracles.py``). The readout starts at zero, so predictions start
-    at exactly 0.5. Raises RuntimeError if the loss turns non-finite.
+    at exactly 0.5. Every epoch's readout gradient is written into the same
+    (n, 1) arrays. The losses are taken ``LOSS_BLOCK`` epochs at a time, in one
+    pass that keeps the bits of the per-epoch mean; if one turns non-finite,
+    RuntimeError names the first such epoch once its block ends, so a
+    diverged fit runs at most one block past its divergence.
     """
     cfg = cfg or MlpConfig()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    if X.shape[0] < MLP_MIN_ROWS:
+    n = X.shape[0]
+    if n < MLP_MIN_ROWS:
         raise ValueError(f"need at least {MLP_MIN_ROWS} training rows")
     classes = np.unique(y)
     if not np.array_equal(classes, [0.0, 1.0]):
         raise ValueError("labels must be binary with both classes present")
 
-    yy = y.reshape(-1, 1)
-    not_yy = 1.0 - yy
-    g_term = -1.0 / X.shape[0]  # d loss / d term for loss = -mean(term)
-    g_log_p, g_log_q = g_term * yy, g_term * not_yy
+    not_y = 1.0 - y
+    g_term = -1.0 / n  # d loss / d term for loss = -mean(term)
+    g_log_p, g_log_q = (g_term * y)[:, None], (g_term * not_y)[:, None]
     losses = np.empty(cfg.epochs)
+    # the clamped p and q of each epoch of the current block, one row per epoch
+    p_block, q_block = np.empty((LOSS_BLOCK, n)), np.empty((LOSS_BLOCK, n))
+    s, p_raw, p_mask, q_mask, g, work = (np.empty((n, 1)) for _ in range(6))
+
+    def block_losses(t: int, rows: int) -> None:
+        """Record the losses of epochs t - rows + 1 .. t; raise at the first non-finite one."""
+        term = np.log(p_block[:rows]) * y + np.log(q_block[:rows]) * not_y
+        # a mean along the rows sums each epoch's n contiguous values pairwise, as
+        # the mean of one epoch's (n, 1) term does
+        values = term.mean(axis=1) * -1.0
+        first = t - rows + 1
+        losses[first : t + 1] = values
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            e = first + int(bad[0])
+            raise RuntimeError(f"training diverged at epoch {e} (last good epoch {e - 1})")
 
     def bce_grad(logits, t):
-        s = np.tanh(logits * 0.5)
-        p_raw = (s + 1.0) * 0.5
-        p_shift = p_raw + -1e-12
-        q_shift = (p_raw * -1.0 + 1.0) + -1e-12
-        p = np.maximum(p_shift, 0.0) + 1e-12
-        q = np.maximum(q_shift, 0.0) + 1e-12
-        value = ((np.log(p) * yy + np.log(q) * not_yy).mean() * -1.0).item()
-        if not np.isfinite(value):
-            raise RuntimeError(f"training diverged at epoch {t} (last good epoch {t - 1})")
-        losses[t] = value
+        k = t % LOSS_BLOCK
+        p, q = p_block[k, :, None], q_block[k, :, None]
+        np.multiply(logits, 0.5, out=s)
+        np.tanh(s, out=s)
+        np.add(s, 1.0, out=p_raw)
+        np.multiply(p_raw, 0.5, out=p_raw)
+        # the shifted p and q, clamped, then turned into their clamp masks
+        np.add(p_raw, -1e-12, out=p_mask)
+        np.subtract(1.0, p_raw, out=q_mask)
+        np.add(q_mask, -1e-12, out=q_mask)
+        np.maximum(p_mask, 0.0, out=p)
+        p += 1e-12
+        np.maximum(q_mask, 0.0, out=q)
+        q += 1e-12
+        if k == LOSS_BLOCK - 1 or t == cfg.epochs - 1:
+            block_losses(t, k + 1)
+        np.greater(p_mask, 0.0, out=p_mask)
+        np.greater(q_mask, 0.0, out=q_mask)
         # backward, in the graph's order of rounding: log, clamp masks, the sum
         # of the p and q paths, then the sigmoid
-        g_p_raw = (g_log_p / p) * (p_shift > 0.0) + ((g_log_q / q) * (q_shift > 0.0)) * -1.0
-        return ((g_p_raw * 0.5) * (1.0 - s * s)) * 0.5
+        np.divide(g_log_p, p, out=g)
+        np.multiply(g, p_mask, out=g)
+        np.divide(g_log_q, q, out=work)
+        np.multiply(work, q_mask, out=work)
+        np.subtract(g, work, out=g)
+        np.multiply(s, s, out=work)
+        np.subtract(1.0, work, out=work)
+        np.multiply(g, 0.5, out=g)
+        np.multiply(g, work, out=g)
+        np.multiply(g, 0.5, out=g)
+        return g
 
     rng = np.random.default_rng(cfg.seed)
     weights, biases = _fit_mlp(X, cfg.hidden_sizes, 1, cfg.epochs, rng, bce_grad,

@@ -6,10 +6,10 @@ coalitions at once: it builds their overwritten background copies with one
 ``np.where`` and predicts them in slices of at most ``ROWS_PER_CALL`` rows.
 Each estimator is one function: ``exact_shapley`` enumerates all 2^m
 coalitions of an instance and reuses them across features, and
-``permutation_shapley`` samples feature orders and evaluates each distinct
-prefix coalition of them once. ``hybrid_shapley`` labels a table with the
-exact one when m is at most ``ShapConfig.exact_max_features``, and with the
-sampled one otherwise.
+``permutation_shapley`` draws an instance's feature orders in one call and
+evaluates each distinct prefix coalition of them once. ``hybrid_shapley``
+labels a table with the exact one when m is at most
+``ShapConfig.exact_max_features``, and with the sampled one otherwise.
 
 The predictions of a coalition's rows are bit-identical to predicting those
 rows alone only when the model's arithmetic does not depend on a row's
@@ -38,9 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 # Rows per predict_fn call. It bounds the memory of the overwritten
-# background copies and of the model's temporaries: at 512 rows, the base
-# MLP's (rows, 100) hidden arrays outgrow glibc's heap-trim threshold, so
-# every call page-faults them in afresh and Shapley labelling runs slower.
+# background copies and of the model's temporaries. When each layer of the
+# base MLP's predict was a fresh array, 512 rows made every call page-fault
+# its (rows, 100) hidden arrays in afresh. With the layers written in place,
+# four rotated 25 s label_factory_mlp runs (2-core VM) read 10.8 ops/s at 128
+# rows, 11.5 at 256 and 11.4 at 512 (medians). A change moves the last bits of
+# MLP labels whose background row count is not a multiple of 4.
 ROWS_PER_CALL = 256
 
 
@@ -148,7 +151,9 @@ def permutation_shapley(predict_fn, x: np.ndarray, background: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     m = x.size
-    orders = np.array([rng.permutation(m) for _ in range(n_perms)])
+    # one draw for all orders: the same orders as n_perms calls of rng.permutation(m),
+    # leaving rng in the same state
+    orders = rng.permuted(np.tile(np.arange(m), (n_perms, 1)), axis=1)
     # prefix k of an order holds the features whose rank in it is below k
     ranks = np.argsort(orders, axis=1)
     prefixes = (ranks[:, None, :] < np.arange(m + 1)[None, :, None]).reshape(-1, m)

@@ -2,13 +2,16 @@
 
 These deliberately avoid the library implementations: Shapley values are
 evaluated straight from the weighted-marginal-contribution definition with
-no coalition caching or reuse; the reference MLP fits take their gradients
-from the autodiff graph instead of the hand-written backward pass; and the
-reference Adam and explainer training loop step one parameter array at a
-time instead of one flat buffer. Trees are grown one at a time by a
-depth-first recursion that sorts each node's rows afresh, instead of in
-lockstep, stacked from those trees instead of straight from the builder's
-arrays, and walked one at a time, each row leaving the walk at its own
+no coalition caching or reuse, and the permutation reference draws each
+feature order with its own ``rng.permutation`` call, where the estimator
+draws all of an instance's orders in one ``rng.permuted`` call; the
+reference MLP fits take their gradients from the autodiff graph instead of
+the hand-written backward pass, and their losses epoch by epoch instead of
+in blocks; and the reference Adam and explainer training loop step one
+parameter array at a time instead of one flat buffer. Trees are grown one at
+a time by a depth-first recursion that sorts each node's rows afresh,
+instead of in lockstep, stacked from those trees instead of straight from the
+builder's arrays, and walked one at a time, each row leaving the walk at its own
 leaf, instead of in one stacked walk. The autodiff graph's gradients are
 checked against central differences.
 """
@@ -45,7 +48,8 @@ def brute_force_shapley(predict_fn, x, background):
 
 
 def loop_permutation_shapley(predict_fn, x, background, n_perms, rng):
-    """Permutation estimate walked one order at a time, one coalition per predict call."""
+    """Permutation estimate walked one order at a time, one coalition per predict call;
+    each order is drawn by its own ``rng.permutation(m)`` call."""
     x = np.asarray(x, dtype=np.float64).ravel()
     background = np.asarray(background, dtype=np.float64)
     phi = np.zeros(x.size)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -75,7 +77,13 @@ def _noisy(n, m, seed):
     (120, 2, False, bm.MlpConfig(hidden_sizes=(12, 12), epochs=300, lr0=1e-3, seed=4)),
     # saturates p within a few epochs, so both 1e-12 clamps take effect
     (64, 3, False, bm.MlpConfig(epochs=100, lr0=1.0, seed=1)),
-], ids=["default-fortran", "two-hidden-layers", "clamped"])
+    (80, 4, False, bm.MlpConfig(hidden_sizes=(), epochs=200, lr0=1e-2, seed=2)),
+    # the last loss block is a partial one
+    (96, 3, False, bm.MlpConfig(epochs=130, seed=5)),
+    # the OpenBLAS tail kernels take the last rows mod 4
+    (51, 4, False, bm.MlpConfig(epochs=200, seed=6)),
+], ids=["default-fortran", "two-hidden-layers", "clamped", "logistic-readout", "epochs-off-block",
+        "rows-off-four"])
 def test_mlp_fit_bit_identical_to_autodiff_graph(n, m, fortran, cfg):
     X, y = _noisy(n, m, seed=n + m)
     if fortran:
@@ -100,6 +108,19 @@ def test_mlp_nan_input_diverges_at_epoch_zero():
     X[3, 1] = np.nan
     with pytest.raises(RuntimeError, match=r"training diverged at epoch 0 "):
         bm.train_mlp(X, y, bm.MlpConfig(epochs=10))
+
+
+@pytest.mark.parametrize("lr0", [1e308, 5.695e306, 5.69e306, 5.685e306])
+def test_mlp_divergence_names_the_first_non_finite_epoch(lr0):
+    # the first non-finite loss falls at epoch 1 or mid-block (48, 53 and 62)
+    X, y = _noisy(64, 3, 5)
+    cfg = bm.MlpConfig(epochs=200, lr0=lr0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = autodiff_train_mlp(X, y, cfg).train_losses
+        first = int(np.flatnonzero(~np.isfinite(losses))[0])
+        message = f"training diverged at epoch {first} (last good epoch {first - 1})"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            bm.train_mlp(X, y, cfg)
 
 
 def test_mlp_rejects_constant_labels():

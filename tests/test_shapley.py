@@ -145,6 +145,21 @@ def test_permutation_matches_loop_reference_bitwise():
         assert np.array_equal(engine, oracle)
 
 
+@pytest.mark.parametrize("n_perms", [1, 2, 200])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_one_draw_orders_equal_per_call_draws(m, n_perms):
+    # the oracle draws each order with its own rng.permutation(m) call
+    model = random_mlp(m, 60 + m)
+    rng = np.random.default_rng(70 + m)
+    bg = rng.normal(size=(16, m))
+    x = rng.normal(size=m)
+    drawn, per_call = np.random.default_rng(n_perms), np.random.default_rng(n_perms)
+    engine = sh.permutation_shapley(model.predict, x, bg, n_perms, drawn)
+    oracle = loop_permutation_shapley(model.predict, x, bg, n_perms, per_call)
+    assert engine.tobytes() == oracle.tobytes()
+    assert drawn.random() == per_call.random()
+
+
 def test_exact_feature_cap():
     with pytest.raises(ValueError, match="permutation"):
         sh.exact_shapley(lambda X: X.sum(axis=1), np.zeros(12), np.zeros((4, 12)), max_features=10)
@@ -159,6 +174,11 @@ class _TwoOrderRng:
     def permutation(self, m):
         self.calls += 1
         return np.array([0, 1]) if self.calls % 2 == 1 else np.array([1, 0])
+
+    def permuted(self, orders, axis):
+        """The rows of ``orders`` (each 0..m-1) as successive ``permutation`` draws."""
+        assert axis == 1
+        return np.array([self.permutation(orders.shape[1]) for _ in orders])
 
 
 def test_permutation_complete_enumeration_m2():
